@@ -608,9 +608,9 @@ fn execute(args: &Args) -> Result<(), String> {
     let depth = geomean(&run.depths);
 
     let metrics: Vec<String> = if args.trace {
+        // Only the open loop has due times to be late against.
         let late_p90 = percentile(&run.late.iter().map(|&l| Some(l)).collect::<Vec<_>>(), 0.9)
-            .and_then(|p| p.value)
-            .unwrap_or(0.0);
+            .and_then(|p| p.value);
         let replay = trace::Replay {
             lines: run.sent.iter().map(|&i| reqs[i].text()).collect(),
             reply_hashes: run.reply_hashes.clone(),
@@ -620,7 +620,7 @@ fn execute(args: &Args) -> Result<(), String> {
             e2e_mean_ms,
             hit_ratio: run.hit_ratio,
             evictions: run.evictions,
-            late_ms_p90: late_p90 * 1e3,
+            late_ms_p90: late_p90.map(|s| s * 1e3),
         };
         let report = trace::replay(&replay)?;
         run.failures.extend(report.failures.iter().cloned());

@@ -9,10 +9,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+use qpilot_circuit::Fingerprint;
 use qpilot_core::wire::schedule_to_json;
 use qpilot_core::{CompileOptions, Compiler};
 use qpilot_service::protocol::{parse_request, render_compile_response, Request};
-use qpilot_service::{CacheEntry, ScheduleStore, Service, ServiceConfig};
+use qpilot_service::{CacheEntry, CompileRequest, ScheduleStore, Service, ServiceConfig};
 
 use crate::checks;
 use crate::stats::{mean, median};
@@ -111,8 +112,9 @@ impl Tracer {
     /// minus the time its children cover. The miss path's layers, timed
     /// one by one under a `miss.breakdown` root after the request, are
     /// charged as children of that request's `pool.try_compile.miss`,
-    /// whose self time is then the pool's own share. `store.open` (set-up)
-    /// and `pool.fingerprint` (repeated inside try_compile) are left out.
+    /// whose self time is then the pool's own share. `store.open` (set-up),
+    /// `pool.fingerprint` (repeated inside try_compile) and off-path spans
+    /// are left out.
     pub fn self_ms(&self) -> BTreeMap<&'static str, f64> {
         let miss_span: BTreeMap<usize, usize> = (0..self.spans.len())
             .filter(|&id| self.spans[id].name == "pool.try_compile.miss")
@@ -130,9 +132,19 @@ impl Tracer {
                 child_ms[p] += s.ms();
             }
         }
+        let off_path = |mut id: usize| loop {
+            if self.spans[id].name == OFF_PATH {
+                return true;
+            }
+            match self.spans[id].parent {
+                Some(p) => id = p,
+                None => return false,
+            }
+        };
         let mut out = BTreeMap::new();
-        for (s, c) in self.spans.iter().zip(child_ms) {
-            if !matches!(s.name, "miss.breakdown" | "store.open" | "pool.fingerprint") {
+        for (id, (s, c)) in self.spans.iter().zip(child_ms).enumerate() {
+            let skipped = matches!(s.name, "miss.breakdown" | "store.open" | "pool.fingerprint");
+            if !skipped && !off_path(id) {
                 *out.entry(s.name).or_insert(0.0) += s.ms() - c;
             }
         }
@@ -171,8 +183,8 @@ pub struct Replay<'a> {
     /// The daemon's cache counters after the timed run.
     pub hit_ratio: f64,
     pub evictions: u64,
-    /// Open-loop send lateness (empty for closed loops).
-    pub late_ms_p90: f64,
+    /// Open-loop send lateness (`None` for closed loops).
+    pub late_ms_p90: Option<f64>,
 }
 
 /// Per-layer metrics, spans, and the replay's own check failures.
@@ -195,6 +207,69 @@ pub fn copy_dir(from: &Path, to: &Path) -> Result<(), String> {
 }
 
 const STORE_OPEN_TRIALS: usize = 2;
+
+/// Root of spans timed off the daemon's path: they give a layer's cost
+/// on a workload whose requests never reach that layer, and stay out of
+/// the self-time table and `transport.unattributed_ms`.
+const OFF_PATH: &str = "off-path";
+
+/// Misses whose schedules are decoded off the path on a workload whose
+/// client decodes nothing: on `cold-sweep`, the goldens and one full
+/// sweep cycle, so every router and size is sampled.
+const DECODE_SAMPLE: usize = 19;
+
+/// The pool worker's miss path, called one layer at a time.
+struct Worker {
+    compiler: Compiler,
+    store: ScheduleStore,
+    /// Stage count of every schedule compiled here.
+    stages: Vec<f64>,
+}
+
+impl Worker {
+    /// Route, encode and persist `request` as the pool's worker does,
+    /// one span per call under `parent`; returns the encoded schedule.
+    fn breakdown(
+        &mut self,
+        tracer: &mut Tracer,
+        request: &CompileRequest,
+        fingerprint: Fingerprint,
+        parent: usize,
+        i: usize,
+    ) -> Result<String, String> {
+        let route_name = match request.router().as_str() {
+            "generic" => "compile.route.generic",
+            "qsim" => "compile.route.qsim",
+            "qaoa" => "compile.route.qaoa",
+            _ => "compile.route.qec",
+        };
+        self.compiler.set_options(CompileOptions {
+            router_options: request.options,
+            ..CompileOptions::new()
+        });
+        let config = request.config();
+        let (routed, _) = tracer.time(route_name, Some(parent), i, || {
+            self.compiler.compile(&request.workload, &config)
+        });
+        let program = routed
+            .map_err(|e| format!("replay compile {i}: {e}"))?
+            .into_program();
+        self.stages.push(program.schedule().num_stages() as f64);
+        let (json, id) = tracer.time("wire.encode", Some(parent), i, || {
+            schedule_to_json(program.schedule())
+        });
+        tracer.spans[id].bytes = json.len();
+        let entry = CacheEntry {
+            schedule_json: Arc::from(json.as_str()),
+            stats: *program.stats(),
+            compile_s: 0.0,
+        };
+        tracer.time("store.persist", Some(parent), i, || {
+            self.store.persist(fingerprint, &entry)
+        });
+        Ok(json)
+    }
+}
 
 /// Replays every line, one span per layer call, and derives the
 /// per-layer table.
@@ -223,14 +298,19 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
     .map_err(|e| format!("replay service: {e}"))?;
     let persist_dir = r.work.join("replay-persist");
     let _ = std::fs::remove_dir_all(&persist_dir);
-    let (persist_store, _) =
-        ScheduleStore::open(&persist_dir).map_err(|e| format!("persist store: {e}"))?;
-    let mut compiler = Compiler::new();
+    let mut worker = Worker {
+        compiler: Compiler::new(),
+        store: ScheduleStore::open(&persist_dir)
+            .map_err(|e| format!("persist store: {e}"))?
+            .0,
+        stages: Vec::new(),
+    };
 
     let mut path_sums = Vec::with_capacity(r.lines.len());
     let mut reply_bytes = Vec::with_capacity(r.lines.len());
     let mut decode_ns_per_byte: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-    let mut stages = Vec::new();
+    let mut decoded_off_path = 0;
+    let mut hits = Vec::new();
     for (i, line) in r.lines.iter().enumerate() {
         let root = tracer.open("request", None, i);
         let (parsed, parse_id) =
@@ -289,43 +369,66 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
         }
 
         if !response.cache_hit {
-            // The miss path's layers, called one by one as the pool's
-            // worker does: route, encode, persist.
             let root = tracer.open("miss.breakdown", None, i);
-            let route_name = match request.router().as_str() {
-                "generic" => "compile.route.generic",
-                "qsim" => "compile.route.qsim",
-                "qaoa" => "compile.route.qaoa",
-                _ => "compile.route.qec",
-            };
-            compiler.set_options(CompileOptions {
-                router_options: request.options,
-                ..CompileOptions::new()
-            });
-            let config = request.config();
-            let (routed, _) = tracer.time(route_name, Some(root), i, || {
-                compiler.compile(&request.workload, &config)
-            });
-            let program = routed
-                .map_err(|e| format!("replay compile {i}: {e}"))?
-                .into_program();
-            stages.push(program.schedule().num_stages() as f64);
-            let (json, id) = tracer.time("wire.encode", Some(root), i, || {
-                schedule_to_json(program.schedule())
-            });
-            tracer.spans[id].bytes = json.len();
-            let entry = CacheEntry {
-                schedule_json: Arc::from(json.as_str()),
-                stats: *program.stats(),
-                compile_s: 0.0,
-            };
-            tracer.time("store.persist", Some(root), i, || {
-                persist_store.persist(fingerprint, &entry)
-            });
+            let json = worker.breakdown(&mut tracer, &request, fingerprint, root, i)?;
             tracer.close(root);
             if *response.entry.schedule_json != *json {
                 failures.push(format!("replay line {i}: pool and pipeline bytes differ"));
             }
+            // Off the daemon's path: what a repeat of this request would
+            // cost as a hit, and (on a workload whose client decodes
+            // nothing) what decoding its schedule would cost a client.
+            let off = tracer.open(OFF_PATH, None, i);
+            let (again, _) = tracer.time("pool.try_compile.hit", Some(off), i, || {
+                service.try_compile(request.clone())
+            });
+            if !again.is_ok_and(|a| a.cache_hit) {
+                failures.push(format!("replay line {i}: repeat was not a cache hit"));
+            }
+            if !r.decode && decoded_off_path < DECODE_SAMPLE {
+                decoded_off_path += 1;
+                let full = render_compile_response(&response, true, "replay");
+                let (decoded, id) =
+                    tracer.time("wire.decode", Some(off), i, || checks::decode(&full));
+                tracer.spans[id].bytes = full.len();
+                decode_ns_per_byte
+                    .entry(full.len())
+                    .or_default()
+                    .push(tracer.spans[id].ms() * 1e6 / full.len() as f64);
+                if let Err(e) = decoded {
+                    failures.push(format!("replay decode {i}: {e}"));
+                }
+            }
+            tracer.close(off);
+        } else {
+            hits.push((i, fingerprint, request));
+        }
+    }
+
+    // A workload that never misses still reports the miss path's layers,
+    // measured off the daemon's path: each distinct request compiled
+    // once more by a service with an empty store.
+    if hits.len() == r.lines.len() {
+        let fresh = Service::try_new(ServiceConfig {
+            store_dir: Some(r.work.join("replay-off-path")),
+            ..ServiceConfig::default()
+        })
+        .map_err(|e| format!("off-path service: {e}"))?;
+        let mut seen = std::collections::HashSet::new();
+        for (i, fingerprint, request) in hits {
+            if !seen.insert(fingerprint) {
+                continue;
+            }
+            let off = tracer.open(OFF_PATH, None, i);
+            let (missed, id) = tracer.time("pool.try_compile", Some(off), i, || {
+                fresh.try_compile(request.clone())
+            });
+            match missed {
+                Ok(m) if !m.cache_hit => tracer.spans[id].name = "pool.try_compile.miss",
+                _ => failures.push(format!("replay line {i}: off-path compile did not miss")),
+            }
+            worker.breakdown(&mut tracer, &request, fingerprint, off, i)?;
+            tracer.close(off);
         }
     }
 
@@ -338,7 +441,7 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
         _ => 0.0,
     };
     let ms = |name: &str| tracer.mean_ms(name);
-    let metrics = vec![
+    let mut metrics = vec![
         ("protocol.parse_ms", ms("protocol.parse"), "ms"),
         (
             "protocol.parse_mb_per_s",
@@ -363,7 +466,7 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
         ("compile.route_ms.qsim", ms("compile.route.qsim"), "ms"),
         ("compile.route_ms.qaoa", ms("compile.route.qaoa"), "ms"),
         ("compile.route_ms.qec", ms("compile.route.qec"), "ms"),
-        ("compile.stages", mean(&stages), "count"),
+        ("compile.stages", mean(&worker.stages), "count"),
         ("wire.encode_ms", ms("wire.encode"), "ms"),
         (
             "wire.encode_mb_per_s",
@@ -386,8 +489,10 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
             r.e2e_mean_ms - mean(&path_sums),
             "ms",
         ),
-        ("loadgen.late_ms_p90", r.late_ms_p90, "ms"),
     ];
+    if let Some(late) = r.late_ms_p90 {
+        metrics.push(("loadgen.late_ms_p90", late, "ms"));
+    }
     Ok(LayerReport {
         metrics,
         failures,
