@@ -2,7 +2,7 @@
 # Builds qpilotd (from the repository's workspace) and the benchmark
 # harness, then runs the harness with the given arguments:
 #
-#   bash e2ebench/run.sh --workload cold-sweep|warm-fetch|mixed-open \
+#   bash e2ebench/run.sh --workload cold-sweep|warm-fetch \
 #       [--seed N] [--seconds S] [--trace 0|1]
 #
 # Run from the repository root. Build output goes to stderr, so the

@@ -44,8 +44,6 @@ fn field_range(reply: &str, key: &str) -> Option<(usize, usize)> {
 
 /// A hash of a compile reply with its `request_id` and `compile_ms`
 /// values left out: the bytes two servings of one schedule must share.
-/// It mixes eight bytes per step, so hashing a half-megabyte reply does
-/// not hold up the open loop's reader.
 pub fn reply_hash(reply: &str) -> u64 {
     let mut skips: Vec<(usize, usize)> = ["request_id", "compile_ms"]
         .iter()
@@ -54,22 +52,10 @@ pub fn reply_hash(reply: &str) -> u64 {
     skips.sort_unstable();
     let (mut h, mut at) = (0xcbf2_9ce4_8422_2325, 0);
     for (start, end) in skips {
-        h = word_hash(h, &reply.as_bytes()[at..start]);
+        h = fnv1a_from(h, &reply.as_bytes()[at..start]);
         at = end;
     }
-    word_hash(h, &reply.as_bytes()[at..])
-}
-
-fn word_hash(mut h: u64, bytes: &[u8]) -> u64 {
-    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        h = mix(h, u64::from_le_bytes(w.try_into().expect("eight bytes")));
-    }
-    for &b in words.remainder() {
-        h = mix(h, u64::from(b));
-    }
-    mix(h, bytes.len() as u64)
+    fnv1a_from(h, &reply.as_bytes()[at..])
 }
 
 /// The schedule document inside a compile reply, if it carries one.

@@ -121,8 +121,8 @@ impl Drop for Daemon {
 
 /// One connection: write a line, read a line.
 pub struct Conn {
-    pub writer: TcpStream,
-    pub reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
 impl Conn {

@@ -1,8 +1,8 @@
 //! Socket-to-socket benchmark of `qpilotd`.
 //!
 //! ```text
-//! qpilot-e2ebench --daemon PATH --workload cold-sweep|warm-fetch|mixed-open
-//!                 [--seed N] [--seconds S] [--trace 0|1] [--rate RPS]
+//! qpilot-e2ebench --daemon PATH --workload cold-sweep|warm-fetch
+//!                 [--seed N] [--seconds S] [--trace 0|1]
 //! ```
 //!
 //! A single-process load generator drives a real `qpilotd` subprocess
@@ -28,33 +28,33 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use daemon::{Conn, Daemon};
-use stats::{geomean, median, open_loop, percentile, OpenSample};
-use workload::{Req, Rng};
+use stats::{geomean, median, percentile};
+use workload::{Req, SWEEP_CYCLE};
 
 /// Daemon starts per run: at least `SETUP_MIN_STARTS`, and more while
 /// the starts have taken under `SETUP_MIN_SECONDS` (up to
 /// `SETUP_MAX_STARTS`), so a fast start on an empty store is sampled
 /// often. `setup_s` is their median; the last one serves the load.
 const SETUP_MIN_STARTS: usize = 3;
-const SETUP_MAX_STARTS: usize = 15;
+const SETUP_MAX_STARTS: usize = 41;
 const SETUP_MIN_SECONDS: f64 = 1.0;
-/// `cold-sweep` request pool: far more cycles than one run can send.
-const SWEEP_CYCLES: usize = 1000;
+/// `cold-sweep` request pool, in sweep cycles per second of the run:
+/// about twice what the fastest runs send.
+const SWEEP_CYCLES_PER_S: f64 = 60.0;
 /// `cold-sweep` cycles whose depths make up `rydberg_depth_geomean`, so
 /// the quality metric does not depend on how many requests a run sent.
 const DEPTH_PANEL_CYCLES: usize = 20;
 /// Most recent `cold-sweep` requests fetched again, with their
 /// schedules, after the timed window (all still cached).
 const REFETCH: usize = 16;
-/// The fixed `mixed-open` arrival rate (requests per second).
-const MIXED_RATE: f64 = 400.0;
-/// Share of `mixed-open` arrivals that are distinct misses.
-const MIXED_MISS_SHARE: f64 = 0.2;
-/// Equal windows a run is split into for its latency percentiles and
-/// closed-loop throughput (`warm-fetch` sends too few requests: 1).
+/// Timed requests the traced run replays at most: the last ones, whole
+/// mix cycles (100 `cold-sweep` cycles; every `warm-fetch` request).
+/// Replaying a miss costs about twice what serving it did, so this keeps
+/// a traced run's length from growing with the window at twice its rate.
+const REPLAY_TIMED: usize = 100 * SWEEP_CYCLE;
+/// Equal windows a closed-loop run is split into for its throughput
+/// (`warm-fetch` sends too few requests: 1).
 const WINDOWS: usize = 9;
-/// Connections the open loop spreads arrivals over.
-const MIXED_CONNECTIONS: usize = 2;
 
 struct Args {
     daemon: PathBuf,
@@ -62,7 +62,6 @@ struct Args {
     seed: u64,
     seconds: f64,
     trace: bool,
-    rate: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -91,15 +90,27 @@ fn parse_args() -> Result<Args, String> {
         })?,
         seconds: num("--seconds", 10.0)?,
         trace: num("--trace", 0.0)? != 0.0,
-        rate: num("--rate", MIXED_RATE)?,
     };
-    if !["cold-sweep", "warm-fetch", "mixed-open"].contains(&args.workload.as_str()) {
+    if !["cold-sweep", "warm-fetch"].contains(&args.workload.as_str()) {
         return Err(format!("unknown workload {:?}", args.workload));
     }
     if args.seconds.is_nan() || args.seconds <= 0.0 {
         return Err("--seconds must be positive".into());
     }
     Ok(args)
+}
+
+/// One compile request the daemon served, in the order it served them,
+/// for the traced replay.
+struct Served {
+    /// Index into the workload's request pool.
+    req: usize,
+    /// Sent inside the timed window (else a fill, golden or refetch).
+    timed: bool,
+    /// Whether the client decoded the reply.
+    decoded: bool,
+    /// [`checks::reply_hash`] of the reply; `None` = failed.
+    hash: Option<u64>,
 }
 
 /// Everything one run measured and checked.
@@ -111,8 +122,9 @@ struct Run {
     failures: Vec<String>,
     /// Seconds per timed request; `None` = failed or refused.
     latencies: Vec<Option<f64>>,
-    /// When each timed request started (closed loop) or was due (open
-    /// loop), seconds into the window.
+    /// Each timed request's position in the workload's mix cycle.
+    kinds: Vec<usize>,
+    /// When each timed request started, seconds into the window.
     starts: Vec<f64>,
     /// Timed requests completed, and the window they completed in.
     completed: usize,
@@ -120,11 +132,7 @@ struct Run {
     setup_s: Vec<f64>,
     depths: Vec<f64>,
     rss_mb: f64,
-    /// Open-loop send lateness, seconds.
-    late: Vec<f64>,
-    /// In-order request lines and reply hashes, for the traced replay.
-    sent: Vec<usize>,
-    reply_hashes: Vec<Option<u64>>,
+    served: Vec<Served>,
     hit_ratio: f64,
     evictions: u64,
 }
@@ -178,15 +186,52 @@ fn start(
     }
 }
 
-/// Compiles the working set into `store` with `schedule:false`, then
-/// stops that daemon. Untimed.
-fn fill(args: &Args, work: &Path, store: &Path, set: &[Req]) -> Result<(), String> {
+/// Sends `reqs[i]` outside the timed window, counts its serving path
+/// and checks its envelope.
+fn untimed(
+    conn: &mut Conn,
+    reqs: &[Req],
+    i: usize,
+    decoded: bool,
+    run: &mut Run,
+    tally: &mut checks::Tally,
+) -> Result<(String, checks::Reply), String> {
+    let reply = conn.call(reqs[i].text())?;
+    let head = checks::header(&reply)?;
+    if let Some(path) = head.get("path").and_then(|p| p.as_str()) {
+        tally.count(path);
+    }
+    let got = checks::compile_reply(&head, reqs[i].router);
+    run.served.push(Served {
+        req: i,
+        timed: false,
+        decoded,
+        hash: got.is_ok().then(|| checks::reply_hash(&reply)),
+    });
+    Ok((reply, got?))
+}
+
+/// Compiles `reqs[..n]` (the working set, `schedule:false`) into
+/// `store`, then stops that daemon. Untimed.
+fn fill(
+    args: &Args,
+    work: &Path,
+    store: &Path,
+    reqs: &[Req],
+    n: usize,
+    run: &mut Run,
+) -> Result<(), String> {
     let (daemon, _) = Daemon::spawn(&args.daemon, store, &work.join("fill.log"))?;
     let mut conn = daemon.connect()?;
-    for req in set {
-        let reply = conn.call(req.text())?;
-        let head = checks::header(&reply)?;
-        let got = checks::compile_reply(&head, req.router)?;
+    for i in 0..n {
+        let (_, got) = untimed(
+            &mut conn,
+            reqs,
+            i,
+            false,
+            run,
+            &mut checks::Tally::default(),
+        )?;
         if got.path != "miss" {
             return Err(format!("fill request served as {}", got.path));
         }
@@ -198,16 +243,17 @@ fn fill(args: &Args, work: &Path, store: &Path, set: &[Req]) -> Result<(), Strin
 /// (for `warm-fetch`) decode it, then run the checks with the clock
 /// stopped.
 ///
-/// The window closes at the first cycle boundary after `--seconds`
-/// (`boundary(k)`: the loop may stop before its `k`-th request), so every
-/// request kind in the mix gets the same weight.
+/// `order` yields pool indices through a mix cycle of `period`
+/// requests; the `k`-th request is of kind `k % period`. The window
+/// closes at the first cycle boundary after `--seconds`, so every kind
+/// gets the same weight.
 #[allow(clippy::too_many_arguments)]
 fn closed_loop(
     args: &Args,
     daemon: &Daemon,
     reqs: &[Req],
     order: impl Iterator<Item = usize>,
-    boundary: impl Fn(usize) -> bool,
+    period: usize,
     decode: bool,
     run: &mut Run,
     tally: &mut checks::Tally,
@@ -220,7 +266,7 @@ fn closed_loop(
     let until = started + Duration::from_secs_f64(args.seconds);
     for (k, i) in order.enumerate() {
         let now = Instant::now();
-        if now >= until && boundary(k) {
+        if now >= until && k.is_multiple_of(period) {
             break;
         }
         let Some(req) = reqs.get(i) else {
@@ -233,7 +279,7 @@ fn closed_loop(
         let decoded = decode.then(|| checks::decode(&reply));
         let latency = now.elapsed().as_secs_f64();
         run.attempted += 1;
-        run.sent.push(i);
+        run.kinds.push(k % period);
         // Checks, with the clock stopped.
         let outcome = (|| {
             let head = checks::header(&reply)?;
@@ -247,21 +293,15 @@ fn closed_loop(
                     checks::validate(schedule, req.text())?;
                 }
             }
-            if let Some(golden) = &req.golden {
-                checks::golden(&reply, golden)?;
-                let (_, schedule) = checks::decode(&reply)?;
-                checks::stats_match(&got.stats, &schedule.stats())?;
-                checks::validate(&schedule, req.text())?;
-            }
             Ok::<_, String>((got, hash))
         })();
-        match outcome {
+        let hash = match outcome {
             Ok((got, hash)) => {
                 tally.count(&got.path);
                 run.latencies.push(Some(latency));
                 run.completed += 1;
-                run.reply_hashes.push(Some(hash));
                 replies.push(Some(got));
+                Some(hash)
             }
             Err(e) => {
                 if let Ok(head) = checks::header(&reply) {
@@ -271,45 +311,92 @@ fn closed_loop(
                 }
                 run.failures.push(format!("request {i}: {e}"));
                 run.latencies.push(None);
-                run.reply_hashes.push(None);
                 replies.push(None);
+                None
             }
-        }
+        };
+        run.served.push(Served {
+            req: i,
+            timed: true,
+            decoded: decode,
+            hash,
+        });
     }
     run.window_s = started.elapsed().as_secs_f64();
     Ok(replies)
 }
 
+/// The full check of a reply that carries its schedule: decode, stats
+/// equal to the reply's, and geometric validation.
+fn check_schedule(reply: &str, got: &checks::Reply, line: &str) -> Result<(), String> {
+    let (_, schedule) = checks::decode(reply)?;
+    checks::stats_match(&got.stats, &schedule.stats())?;
+    checks::validate(&schedule, line)
+}
+
 fn cold_sweep(args: &Args, work: &Path, run: &mut Run) -> Result<(Vec<Req>, Daemon), String> {
-    let reqs = workload::cold_sweep(args.seed, SWEEP_CYCLES);
+    // The pool: the goldens, the sweep, and (once the window is over)
+    // the refetches.
+    let mut reqs = workload::golden_requests();
+    let goldens = reqs.len();
+    let cycles = (args.seconds * SWEEP_CYCLES_PER_S).ceil() as usize;
+    reqs.extend(workload::cold_sweep(
+        args.seed,
+        cycles.max(DEPTH_PANEL_CYCLES),
+    ));
     let store = work.join("store");
     let (daemon, setup) = start(args, work, &store, true)?;
     run.setup_s = setup;
     trace::copy_dir(&store, &work.join("store-at-start"))?;
     let mut tally = checks::Tally::default();
-    let goldens = workload::golden_requests().len();
-    let boundary = |k: usize| k >= goldens && (k - goldens).is_multiple_of(workload::SWEEP_CYCLE);
-    let replies = closed_loop(args, &daemon, &reqs, 0.., boundary, false, run, &mut tally)?;
-    for (i, got) in replies.iter().enumerate() {
+
+    // The goldens go first, untimed and with their schedules, so their
+    // bytes can be compared with the pinned hashes.
+    let mut conn = daemon.connect()?;
+    for i in 0..goldens {
+        let outcome =
+            untimed(&mut conn, &reqs, i, true, run, &mut tally).and_then(|(reply, got)| {
+                let golden = reqs[i].golden.as_ref().expect("golden request");
+                checks::golden(&reply, golden)?;
+                check_schedule(&reply, &got, reqs[i].text())?;
+                Ok(got)
+            });
+        match outcome {
+            Ok(got) if got.path == "miss" => run.depths.push(got.depth as f64),
+            Ok(got) => run
+                .failures
+                .push(format!("golden {i}: served as {}", got.path)),
+            Err(e) => run.failures.push(format!("golden {i}: {e}")),
+        }
+    }
+
+    let replies = closed_loop(
+        args,
+        &daemon,
+        &reqs,
+        goldens..,
+        SWEEP_CYCLE,
+        false,
+        run,
+        &mut tally,
+    )?;
+    for (k, got) in replies.iter().enumerate() {
         if let Some(got) = got {
             if got.path != "miss" {
                 run.failures
-                    .push(format!("request {i}: every cold-sweep request must miss"));
+                    .push(format!("request {k}: every cold-sweep request must miss"));
             }
         }
     }
-    let panel = goldens + DEPTH_PANEL_CYCLES * workload::SWEEP_CYCLE;
+    let panel = DEPTH_PANEL_CYCLES * SWEEP_CYCLE;
     if replies.len() < panel {
         return Err(format!(
             "only {} requests in the window; the depth panel needs {panel}",
             replies.len()
         ));
     }
-    run.depths = replies[..panel]
-        .iter()
-        .flatten()
-        .map(|r| r.depth as f64)
-        .collect();
+    run.depths
+        .extend(replies[..panel].iter().flatten().map(|r| r.depth as f64));
     // Cache counters as the timed window left them; the counters are
     // reconciled once the refetches below are in.
     let (_, counters) = checks::reconcile(&daemon, &tally)?;
@@ -318,28 +405,26 @@ fn cold_sweep(args: &Args, work: &Path, run: &mut Run) -> Result<(Vec<Req>, Daem
 
     // Refetch the newest schedules (still cached) to decode, validate
     // and compare them with the timed replies. Untimed.
-    let mut conn = daemon.connect()?;
     let sent = replies.len();
-    for i in sent.saturating_sub(REFETCH)..sent {
-        let Some(first) = &replies[i] else { continue };
-        let line = reqs[i]
-            .text()
-            .strip_suffix(",\"schedule\":false}")
-            .map(|l| format!("{l}}}"))
+    for k in sent.saturating_sub(REFETCH)..sent {
+        let Some(first) = &replies[k] else { continue };
+        let refetch = reqs[goldens + k]
+            .with_schedule()
             .ok_or("sweep line without schedule:false")?;
-        let outcome = (|| {
-            let reply = conn.call(&line)?;
-            let got = checks::compile_reply(&checks::header(&reply)?, reqs[i].router)?;
-            tally.count(&got.path);
-            if got.fingerprint != first.fingerprint || got.stats != first.stats {
-                return Err("refetch differs from the timed reply".to_string());
-            }
-            let (_, schedule) = checks::decode(&reply)?;
-            checks::stats_match(&got.stats, &schedule.stats())?;
-            checks::validate(&schedule, &line)
-        })();
+        reqs.push(refetch);
+        let i = reqs.len() - 1;
+        let outcome =
+            untimed(&mut conn, &reqs, i, true, run, &mut tally).and_then(|(reply, got)| {
+                if got.path != "hit" {
+                    return Err(format!("served as {}", got.path));
+                }
+                if got.fingerprint != first.fingerprint || got.stats != first.stats {
+                    return Err("refetch differs from the timed reply".to_string());
+                }
+                check_schedule(&reply, &got, reqs[i].text())
+            });
         if let Err(e) = outcome {
-            run.failures.push(format!("refetch {i}: {e}"));
+            run.failures.push(format!("refetch {k}: {e}"));
         }
     }
     let (failures, _) = checks::reconcile(&daemon, &tally)?;
@@ -348,27 +433,18 @@ fn cold_sweep(args: &Args, work: &Path, run: &mut Run) -> Result<(Vec<Req>, Daem
 }
 
 fn warm_fetch(args: &Args, work: &Path, run: &mut Run) -> Result<(Vec<Req>, Daemon), String> {
+    // The pool: the working set as the fill sends it, then as fetched.
+    let mut reqs = workload::working_set(false);
+    let n = reqs.len();
+    reqs.extend(workload::working_set(true));
     let store = work.join("store");
-    fill(args, work, &store, &workload::working_set(false))?;
+    fill(args, work, &store, &reqs, n, run)?;
     trace::copy_dir(&store, &work.join("store-at-start"))?;
     let (daemon, setup) = start(args, work, &store, false)?;
     run.setup_s = setup;
-    let reqs = workload::working_set(true);
     let mut tally = checks::Tally::default();
-    let n = reqs.len();
-    // The seed picks the entry the round-robin starts from.
-    let first = (args.seed % n as u64) as usize;
-    let order = (0..).map(|i| (first + i) % n);
-    let replies = closed_loop(
-        args,
-        &daemon,
-        &reqs,
-        order,
-        |k| k.is_multiple_of(n),
-        true,
-        run,
-        &mut tally,
-    )?;
+    let order = (0..).map(|k| n + k % n);
+    let replies = closed_loop(args, &daemon, &reqs, order, n, true, run, &mut tally)?;
     for got in replies.iter().flatten() {
         if got.path != "hit" {
             run.failures
@@ -387,170 +463,6 @@ fn warm_fetch(args: &Args, work: &Path, run: &mut Run) -> Result<(Vec<Req>, Daem
     Ok((reqs, daemon))
 }
 
-/// `mixed-open` arrivals: a Poisson process at `rate` over the window,
-/// conditioned on its count (sorted uniform due times), with exactly
-/// [`MIXED_MISS_SHARE`] of them distinct misses. Returns the request
-/// pool (the working set first, then the misses), and per arrival its
-/// due time and pool index.
-fn mixed_plan(args: &Args) -> (Vec<Req>, Vec<f64>, Vec<usize>) {
-    let mut pool = workload::working_set(true);
-    let set = pool.len();
-    let mut rng = Rng::new(args.seed ^ 0x004d_4958_4544); // "MIXED"
-    let n = (args.rate * args.seconds).round().max(1.0) as usize;
-    let mut due: Vec<f64> = (0..n).map(|_| rng.unit() * args.seconds).collect();
-    due.sort_by(f64::total_cmp);
-    let misses = (n as f64 * MIXED_MISS_SHARE).round() as usize;
-    let mut is_miss: Vec<bool> = (0..n).map(|i| i < misses).collect();
-    for i in (1..n).rev() {
-        is_miss.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
-    }
-    // Hits cycle through the working set, so every entry gets the same
-    // share of the traffic in every run.
-    let mut hits = 0;
-    let plan = is_miss
-        .iter()
-        .map(|&miss| {
-            if miss {
-                pool.push(workload::mixed_miss(pool.len() - set, &mut rng));
-                pool.len() - 1
-            } else {
-                hits += 1;
-                (hits - 1) % set
-            }
-        })
-        .collect();
-    (pool, due, plan)
-}
-
-/// One open-loop connection's result per request: completion time,
-/// reply hash and envelope, or the failure.
-type Received = (Option<f64>, Result<(u64, checks::Reply), String>);
-
-fn mixed_open(args: &Args, work: &Path, run: &mut Run) -> Result<(Vec<Req>, Daemon), String> {
-    let (pool, due, plan) = mixed_plan(args);
-    let set = workload::working_set(false);
-    let store = work.join("store");
-    fill(args, work, &store, &set)?;
-    trace::copy_dir(&store, &work.join("store-at-start"))?;
-    let (daemon, setup) = start(args, work, &store, false)?;
-    run.setup_s = setup;
-
-    let n = plan.len();
-    let mut sent_at = vec![0.0; n];
-    let mut received: Vec<Option<Received>> = vec![None; n];
-    let conns: Vec<Conn> = (0..MIXED_CONNECTIONS)
-        .map(|_| daemon.connect())
-        .collect::<Result<_, _>>()?;
-    let started = Instant::now();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (c, conn) in conns.into_iter().enumerate() {
-            // Arrivals alternate between the connections.
-            let mine: Vec<usize> = (c..n).step_by(MIXED_CONNECTIONS).collect();
-            let Conn { mut writer, reader } = conn;
-            let (pool, due, plan) = (&pool, &due, &plan);
-            let to_send = mine.clone();
-            let sender = s.spawn(move || {
-                let mut sent = Vec::new();
-                for i in to_send {
-                    let at = started + Duration::from_secs_f64(due[i]);
-                    if let Some(wait) = at.checked_duration_since(Instant::now()) {
-                        std::thread::sleep(wait);
-                    }
-                    sent.push((i, started.elapsed().as_secs_f64()));
-                    let line = pool[plan[i]].line.as_bytes();
-                    if std::io::Write::write_all(&mut writer, line).is_err() {
-                        break;
-                    }
-                }
-                sent
-            });
-            let receiver = s.spawn(move || {
-                let mut reader = reader;
-                let mut reply = String::with_capacity(1 << 20);
-                let mut out = Vec::new();
-                for i in mine {
-                    reply.clear();
-                    let read = std::io::BufRead::read_line(&mut reader, &mut reply);
-                    let done = started.elapsed().as_secs_f64();
-                    if !matches!(read, Ok(n) if n > 0) {
-                        out.push((i, (None, Err("connection closed".to_string()))));
-                        continue;
-                    }
-                    reply.pop();
-                    // Byte hash only: the open loop never stalls on decode.
-                    let checked = checks::header(&reply)
-                        .and_then(|h| checks::compile_reply(&h, pool[plan[i]].router))
-                        .map(|got| (checks::reply_hash(&reply), got));
-                    out.push((i, (Some(done), checked)));
-                }
-                out
-            });
-            handles.push((sender, receiver));
-        }
-        for (sender, receiver) in handles {
-            for (i, at) in sender.join().expect("sender thread") {
-                sent_at[i] = at;
-            }
-            for (i, r) in receiver.join().expect("receiver thread") {
-                received[i] = Some(r);
-            }
-        }
-    });
-
-    let mut tally = checks::Tally::default();
-    let mut repeats = checks::Repeats::default();
-    let mut samples = Vec::with_capacity(n);
-    let mut window: f64 = 0.0;
-    let mut depths = std::collections::BTreeMap::new();
-    for i in 0..n {
-        let (done, checked) = received[i].take().unwrap_or((None, Err("no reply".into())));
-        let outcome = checked.and_then(|(hash, got)| {
-            tally.count(&got.path);
-            let planned = if plan[i] < set.len() { "hit" } else { "miss" };
-            if got.path != planned {
-                return Err(format!("served as {}, planned as {planned}", got.path));
-            }
-            depths.insert(plan[i], got.depth as f64);
-            repeats.check(&got.fingerprint, hash)?;
-            Ok(hash)
-        });
-        run.attempted += 1;
-        run.sent.push(plan[i]);
-        let done = match outcome {
-            Ok(hash) => {
-                run.reply_hashes.push(Some(hash));
-                done
-            }
-            Err(e) => {
-                run.failures.push(format!("request {i}: {e}"));
-                run.reply_hashes.push(None);
-                None
-            }
-        };
-        if let Some(done) = done {
-            window = window.max(done);
-            run.completed += 1;
-        }
-        samples.push(OpenSample {
-            due: due[i],
-            sent: sent_at[i],
-            done,
-        });
-    }
-    let (latencies, late) = open_loop(&samples);
-    run.starts = due;
-    run.latencies = latencies;
-    run.late = late;
-    run.window_s = window;
-    run.depths = depths.into_values().collect();
-    let (failures, counters) = checks::reconcile(&daemon, &tally)?;
-    run.failures.extend(failures);
-    run.hit_ratio = counters.hit_ratio;
-    run.evictions = counters.evictions;
-    Ok((pool, daemon))
-}
-
 fn fmt_metric(name: &str, value: Option<f64>, unit: &str) -> String {
     let value = value.map_or("null".to_string(), |v| format!("{v}"));
     format!("\"{name}\":{{\"value\":{value},\"unit\":\"{unit}\"}}")
@@ -561,8 +473,7 @@ fn execute(args: &Args) -> Result<(), String> {
     let mut run = Run::default();
     let (reqs, daemon) = match args.workload.as_str() {
         "cold-sweep" => cold_sweep(args, &work.0, &mut run)?,
-        "warm-fetch" => warm_fetch(args, &work.0, &mut run)?,
-        _ => mixed_open(args, &work.0, &mut run)?,
+        _ => warm_fetch(args, &work.0, &mut run)?,
     };
     run.rss_mb = daemon.peak_rss_mb()?;
     daemon.shutdown()?;
@@ -571,56 +482,57 @@ fn execute(args: &Args) -> Result<(), String> {
     }
 
     let ms = |v: Option<f64>| v.map(|s| s * 1e3);
-    // Latency percentiles and closed-loop throughput are medians over
-    // equal windows of the run: one slow stretch moves them little.
+    // Latency percentiles over the requests, each at the median latency
+    // of its kind: the mix's kinds form separate latency clusters, and
+    // a percentile of the raw samples would sit on a cluster's edge.
+    let typical = stats::kind_medians(&run.latencies, &run.kinds);
+    let kinds = run.kinds.iter().max().map_or(0, |k| k + 1);
+    let (p50, p90) = (percentile(&typical, 0.5), percentile(&typical, 0.9));
+    let ok_latencies: Vec<f64> = run.latencies.iter().flatten().copied().collect();
+    let e2e_mean_ms = stats::mean(&ok_latencies) * 1e3;
+    // Throughput is the median over equal windows of the run: one slow
+    // stretch moves it little.
     let windows = if args.workload == "warm-fetch" {
         1
     } else {
         WINDOWS
     };
     let slices = stats::windowed(&run.starts, &run.latencies, run.window_s, windows);
-    let pct = |q: f64| {
-        let per_window: Vec<Option<stats::Percentile>> =
-            slices.iter().map(|s| percentile(s, q)).collect();
-        let value = stats::median_of(per_window.iter().map(|p| p.and_then(|p| p.value)).collect());
-        let fewest = per_window.iter().map(|p| p.map_or(0, |p| p.samples)).min();
-        let ruled = per_window.iter().all(|p| p.is_some_and(|p| p.meets_rule()));
-        (value, fewest.unwrap_or(0), ruled)
-    };
-    let (p50, p90) = (pct(0.5), pct(0.9));
-    let ok_latencies: Vec<f64> = run.latencies.iter().flatten().copied().collect();
-    let e2e_mean_ms = stats::mean(&ok_latencies) * 1e3;
-    let throughput = if args.workload == "mixed-open" {
-        // Open loop: completions over the whole window, which falls
-        // below the offered rate exactly when a backlog grows.
-        run.completed as f64 / run.window_s
-    } else {
-        let slice_s = run.window_s / windows as f64;
-        stats::median_of(
-            slices
-                .iter()
-                .map(|s| Some(s.iter().flatten().count() as f64 / slice_s))
-                .collect(),
-        )
-        .unwrap_or(0.0)
-    };
+    let slice_s = run.window_s / windows as f64;
+    let throughput = stats::median_of(
+        slices
+            .iter()
+            .map(|s| Some(s.iter().flatten().count() as f64 / slice_s))
+            .collect(),
+    )
+    .unwrap_or(0.0);
     let setup = median(&run.setup_s);
     let depth = geomean(&run.depths);
 
     let metrics: Vec<String> = if args.trace {
-        // Only the open loop has due times to be late against.
-        let late_p90 = percentile(&run.late.iter().map(|&l| Some(l)).collect::<Vec<_>>(), 0.9)
-            .and_then(|p| p.value);
+        let timed = run.served.iter().filter(|s| s.timed).count();
+        let mut skip = timed.saturating_sub(REPLAY_TIMED);
         let replay = trace::Replay {
-            lines: run.sent.iter().map(|&i| reqs[i].text()).collect(),
-            reply_hashes: run.reply_hashes.clone(),
-            decode: args.workload == "warm-fetch",
+            lines: run
+                .served
+                .iter()
+                .filter(|s| {
+                    let skipped = s.timed && skip > 0;
+                    skip -= usize::from(skipped);
+                    !skipped
+                })
+                .map(|s| trace::Line {
+                    text: reqs[s.req].text(),
+                    timed: s.timed,
+                    decode: s.decoded,
+                    hash: s.hash,
+                })
+                .collect(),
             store: &work.0.join("store-at-start"),
             work: &work.0,
             e2e_mean_ms,
             hit_ratio: run.hit_ratio,
             evictions: run.evictions,
-            late_ms_p90: late_p90.map(|s| s * 1e3),
         };
         let report = trace::replay(&replay)?;
         run.failures.extend(report.failures.iter().cloned());
@@ -640,9 +552,9 @@ fn execute(args: &Args) -> Result<(), String> {
         for (name, value, unit) in &report.metrics {
             println!("  {name:<28} {value:>14.6} {unit}");
         }
-        let self_ms = report.tracer.self_ms();
+        let self_ms = report.tracer.self_ms(&report.timed);
         let total: f64 = self_ms.values().sum();
-        println!("self time per layer on the daemon's path (share of replayed request time):");
+        println!("self time per layer in the timed window (share of replayed request time):");
         let mut rows: Vec<_> = self_ms.into_iter().collect();
         rows.sort_by(|a, b| b.1.total_cmp(&a.1));
         for (name, ms) in rows {
@@ -671,22 +583,38 @@ fn execute(args: &Args) -> Result<(), String> {
             run.completed,
             run.failures.len()
         );
-        let beyond = |(_, samples, ruled): (Option<f64>, usize, bool)| {
-            let rule = if ruled {
+        let beyond = |p: Option<stats::Percentile>| {
+            let Some(p) = p else {
+                return "no samples".to_string();
+            };
+            let rule = if p.meets_rule() {
                 ""
             } else {
                 ", fewer than 10 beyond the percentile"
             };
-            format!("median of {windows} windows of >= {samples} samples{rule}")
+            format!(
+                "{} requests at their kind's median, {kinds} kinds{rule}",
+                p.samples
+            )
         };
         let rows = [
-            ("latency_p50_ms", ms(p50.0), "ms", beyond(p50)),
-            ("latency_p90_ms", ms(p90.0), "ms", beyond(p90)),
+            (
+                "latency_p50_ms",
+                ms(p50.and_then(|p| p.value)),
+                "ms",
+                beyond(p50),
+            ),
+            (
+                "latency_p90_ms",
+                ms(p90.and_then(|p| p.value)),
+                "ms",
+                beyond(p90),
+            ),
             (
                 "throughput_rps",
                 Some(throughput),
                 "1/s",
-                format!("{} completed", run.completed),
+                format!("{} completed, median of {windows} windows", run.completed),
             ),
             (
                 "setup_s",

@@ -108,14 +108,14 @@ impl Tracer {
         }
     }
 
-    /// Total self time per span name on the daemon's path: duration
-    /// minus the time its children cover. The miss path's layers, timed
-    /// one by one under a `miss.breakdown` root after the request, are
-    /// charged as children of that request's `pool.try_compile.miss`,
-    /// whose self time is then the pool's own share. `store.open` (set-up),
-    /// `pool.fingerprint` (repeated inside try_compile) and off-path spans
-    /// are left out.
-    pub fn self_ms(&self) -> BTreeMap<&'static str, f64> {
+    /// Total self time per span name over the requests `timed` marks:
+    /// duration minus the time its children cover. The miss path's
+    /// layers, timed one by one under a `miss.breakdown` root after the
+    /// request, are charged as children of that request's
+    /// `pool.try_compile.miss`, whose self time is then the pool's own
+    /// share. `store.open` (set-up) and `pool.fingerprint` (repeated
+    /// inside try_compile) are left out.
+    pub fn self_ms(&self, timed: &[bool]) -> BTreeMap<&'static str, f64> {
         let miss_span: BTreeMap<usize, usize> = (0..self.spans.len())
             .filter(|&id| self.spans[id].name == "pool.try_compile.miss")
             .map(|id| (self.spans[id].request, id))
@@ -132,19 +132,10 @@ impl Tracer {
                 child_ms[p] += s.ms();
             }
         }
-        let off_path = |mut id: usize| loop {
-            if self.spans[id].name == OFF_PATH {
-                return true;
-            }
-            match self.spans[id].parent {
-                Some(p) => id = p,
-                None => return false,
-            }
-        };
         let mut out = BTreeMap::new();
-        for (id, (s, c)) in self.spans.iter().zip(child_ms).enumerate() {
+        for (s, c) in self.spans.iter().zip(child_ms) {
             let skipped = matches!(s.name, "miss.breakdown" | "store.open" | "pool.fingerprint");
-            if !skipped && !off_path(id) {
+            if !skipped && timed[s.request] {
                 *out.entry(s.name).or_insert(0.0) += s.ms() - c;
             }
         }
@@ -166,14 +157,23 @@ impl Tracer {
     }
 }
 
+/// One compile request line, as the daemon served it.
+pub struct Line<'a> {
+    pub text: &'a str,
+    /// Sent inside the timed window (else a fill, golden or refetch).
+    pub timed: bool,
+    /// Whether the client decoded the reply.
+    pub decode: bool,
+    /// The daemon's [`checks::reply_hash`] (`None` = failed).
+    pub hash: Option<u64>,
+}
+
 /// What the replay needs from the end-to-end run.
 pub struct Replay<'a> {
-    /// Request lines in the order the daemon received them.
-    pub lines: Vec<&'a str>,
-    /// The daemon's [`checks::reply_hash`] per line (`None` = failed).
-    pub reply_hashes: Vec<Option<u64>>,
-    /// Whether the workload's client decodes replies.
-    pub decode: bool,
+    /// Every compile request line in the order the daemon served it,
+    /// from the fill (on `warm-fetch`, before the restart) to the last
+    /// check.
+    pub lines: Vec<Line<'a>>,
     /// The store directory the serving daemon started on.
     pub store: &'a Path,
     /// Scratch space for store copies.
@@ -183,8 +183,6 @@ pub struct Replay<'a> {
     /// The daemon's cache counters after the timed run.
     pub hit_ratio: f64,
     pub evictions: u64,
-    /// Open-loop send lateness (`None` for closed loops).
-    pub late_ms_p90: Option<f64>,
 }
 
 /// Per-layer metrics, spans, and the replay's own check failures.
@@ -192,6 +190,8 @@ pub struct LayerReport {
     pub metrics: Vec<(&'static str, f64, &'static str)>,
     pub failures: Vec<String>,
     pub tracer: Tracer,
+    /// Per line: sent inside the timed window.
+    pub timed: Vec<bool>,
 }
 
 /// Replaces `to` with a copy of the flat directory `from`.
@@ -207,16 +207,6 @@ pub fn copy_dir(from: &Path, to: &Path) -> Result<(), String> {
 }
 
 const STORE_OPEN_TRIALS: usize = 2;
-
-/// Root of spans timed off the daemon's path: they give a layer's cost
-/// on a workload whose requests never reach that layer, and stay out of
-/// the self-time table and `transport.unattributed_ms`.
-const OFF_PATH: &str = "off-path";
-
-/// Misses whose schedules are decoded off the path on a workload whose
-/// client decodes nothing: on `cold-sweep`, the goldens and one full
-/// sweep cycle, so every router and size is sampled.
-const DECODE_SAMPLE: usize = 19;
 
 /// The pool worker's miss path, called one layer at a time.
 struct Worker {
@@ -289,8 +279,10 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
         open_s.push(tracer.spans[id].ms() / 1e3);
     }
 
+    // The replay starts where the workload's first daemon started: on an
+    // empty store.
     let service_store = r.work.join("replay-service");
-    copy_dir(r.store, &service_store)?;
+    let _ = std::fs::remove_dir_all(&service_store);
     let service = Service::try_new(ServiceConfig {
         store_dir: Some(service_store),
         ..ServiceConfig::default()
@@ -306,16 +298,14 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
         stages: Vec::new(),
     };
 
-    let mut path_sums = Vec::with_capacity(r.lines.len());
-    let mut reply_bytes = Vec::with_capacity(r.lines.len());
+    let mut path_sums = Vec::new();
+    let mut reply_bytes = Vec::new();
     let mut decode_ns_per_byte: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-    let mut decoded_off_path = 0;
-    let mut hits = Vec::new();
     for (i, line) in r.lines.iter().enumerate() {
         let root = tracer.open("request", None, i);
         let (parsed, parse_id) =
-            tracer.time("protocol.parse", Some(root), i, || parse_request(line));
-        tracer.spans[parse_id].bytes = line.len();
+            tracer.time("protocol.parse", Some(root), i, || parse_request(line.text));
+        tracer.spans[parse_id].bytes = line.text.len();
         let Ok(Request::Compile {
             request,
             include_schedule,
@@ -341,7 +331,7 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
         tracer.spans[render_id].bytes = reply.len();
         // The decoded document is dropped only after the root closes:
         // freeing it is no work a client's decode has to wait for.
-        let decode = r
+        let decode = line
             .decode
             .then(|| tracer.time("wire.decode", Some(root), i, || checks::decode(&reply)));
         tracer.close(root);
@@ -360,9 +350,11 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
                 failures.push(format!("replay decode {i}: {e}"));
             }
         }
-        path_sums.push(on_path);
-        reply_bytes.push(reply.len() as f64);
-        if Some(checks::reply_hash(&reply)) != r.reply_hashes[i] {
+        if line.timed {
+            path_sums.push(on_path);
+            reply_bytes.push(reply.len() as f64);
+        }
+        if Some(checks::reply_hash(&reply)) != line.hash {
             failures.push(format!(
                 "replay line {i}: reply bytes differ from the daemon's"
             ));
@@ -375,60 +367,6 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
             if *response.entry.schedule_json != *json {
                 failures.push(format!("replay line {i}: pool and pipeline bytes differ"));
             }
-            // Off the daemon's path: what a repeat of this request would
-            // cost as a hit, and (on a workload whose client decodes
-            // nothing) what decoding its schedule would cost a client.
-            let off = tracer.open(OFF_PATH, None, i);
-            let (again, _) = tracer.time("pool.try_compile.hit", Some(off), i, || {
-                service.try_compile(request.clone())
-            });
-            if !again.is_ok_and(|a| a.cache_hit) {
-                failures.push(format!("replay line {i}: repeat was not a cache hit"));
-            }
-            if !r.decode && decoded_off_path < DECODE_SAMPLE {
-                decoded_off_path += 1;
-                let full = render_compile_response(&response, true, "replay");
-                let (decoded, id) =
-                    tracer.time("wire.decode", Some(off), i, || checks::decode(&full));
-                tracer.spans[id].bytes = full.len();
-                decode_ns_per_byte
-                    .entry(full.len())
-                    .or_default()
-                    .push(tracer.spans[id].ms() * 1e6 / full.len() as f64);
-                if let Err(e) = decoded {
-                    failures.push(format!("replay decode {i}: {e}"));
-                }
-            }
-            tracer.close(off);
-        } else {
-            hits.push((i, fingerprint, request));
-        }
-    }
-
-    // A workload that never misses still reports the miss path's layers,
-    // measured off the daemon's path: each distinct request compiled
-    // once more by a service with an empty store.
-    if hits.len() == r.lines.len() {
-        let fresh = Service::try_new(ServiceConfig {
-            store_dir: Some(r.work.join("replay-off-path")),
-            ..ServiceConfig::default()
-        })
-        .map_err(|e| format!("off-path service: {e}"))?;
-        let mut seen = std::collections::HashSet::new();
-        for (i, fingerprint, request) in hits {
-            if !seen.insert(fingerprint) {
-                continue;
-            }
-            let off = tracer.open(OFF_PATH, None, i);
-            let (missed, id) = tracer.time("pool.try_compile", Some(off), i, || {
-                fresh.try_compile(request.clone())
-            });
-            match missed {
-                Ok(m) if !m.cache_hit => tracer.spans[id].name = "pool.try_compile.miss",
-                _ => failures.push(format!("replay line {i}: off-path compile did not miss")),
-            }
-            worker.breakdown(&mut tracer, &request, fingerprint, off, i)?;
-            tracer.close(off);
         }
     }
 
@@ -441,7 +379,7 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
         _ => 0.0,
     };
     let ms = |name: &str| tracer.mean_ms(name);
-    let mut metrics = vec![
+    let metrics = vec![
         ("protocol.parse_ms", ms("protocol.parse"), "ms"),
         (
             "protocol.parse_mb_per_s",
@@ -490,12 +428,10 @@ pub fn replay(r: &Replay) -> Result<LayerReport, String> {
             "ms",
         ),
     ];
-    if let Some(late) = r.late_ms_p90 {
-        metrics.push(("loadgen.late_ms_p90", late, "ms"));
-    }
     Ok(LayerReport {
         metrics,
         failures,
         tracer,
+        timed: r.lines.iter().map(|l| l.timed).collect(),
     })
 }

@@ -1,4 +1,4 @@
-//! Seeded request-line generation for the three workloads.
+//! Seeded request-line generation for the workloads.
 //!
 //! The daemon sees only the lines built here. Every line is generated
 //! before timing starts, from the workload seed alone, with the
@@ -75,6 +75,13 @@ impl Req {
     /// The request line without its newline.
     pub fn text(&self) -> &str {
         self.line.trim_end_matches('\n')
+    }
+
+    /// The same request asking for its schedule, for one sent with
+    /// `schedule:false`.
+    pub fn with_schedule(&self) -> Option<Req> {
+        let line = self.text().strip_suffix(",\"schedule\":false}")?;
+        Some(Req::new(format!("{line}}}"), self.router, None))
     }
 }
 
@@ -162,12 +169,10 @@ pub fn qec(d: u32, rng: &mut Rng, schedule: bool) -> Req {
 /// One `cold-sweep` cycle: every router at every size, all distinct.
 pub const SWEEP_CYCLE: usize = 14;
 
-/// `cold-sweep`: the goldens first (sent with the schedule, so their
-/// bytes can be pinned), then `cycles` sweep cycles with
-/// `schedule:false`.
+/// `cold-sweep`: `cycles` sweep cycles with `schedule:false`.
 pub fn cold_sweep(seed: u64, cycles: usize) -> Vec<Req> {
     let mut rng = Rng::new(seed);
-    let mut out = golden_requests();
+    let mut out = Vec::with_capacity(cycles * SWEEP_CYCLE);
     for _ in 0..cycles {
         for n in [20, 50, 100] {
             out.push(generic(n, &mut rng, false));
@@ -185,12 +190,11 @@ pub fn cold_sweep(seed: u64, cycles: usize) -> Vec<Req> {
     out
 }
 
-/// The `warm-fetch` working set (also the hit set of `mixed-open`):
-/// generic 20/50/100q, qsim 100q, QAOA 100q and qec d=7. It is the same
-/// six requests for every run seed: client decode time grows with the
-/// square of reply size at the defining commit, so seed-drawn instances
-/// would spread these workloads' latencies across seeds far more than
-/// run-to-run noise does.
+/// The `warm-fetch` working set: generic 20/50/100q, qsim 100q, QAOA
+/// 100q and qec d=7. It is the same six requests for every run seed:
+/// client decode time grows with the square of reply size at the
+/// defining commit, so seed-drawn instances would spread the workload's
+/// latencies across seeds far more than run-to-run noise does.
 pub fn working_set(schedule: bool) -> Vec<Req> {
     let mut rng = Rng::new(0x5745_4b53_4554); // "WKSET"
     vec![
@@ -201,17 +205,6 @@ pub fn working_set(schedule: bool) -> Vec<Req> {
         qaoa(100, &mut rng, schedule),
         qec(7, &mut rng, schedule),
     ]
-}
-
-/// A distinct `mixed-open` miss at 20–50q, cycling generic, qsim and
-/// QAOA at both sizes.
-pub fn mixed_miss(k: usize, rng: &mut Rng) -> Req {
-    let n = if (k / 3).is_multiple_of(2) { 20 } else { 50 };
-    match k % 3 {
-        0 => generic(n, rng, true),
-        1 => qsim(n, rng, true),
-        _ => qaoa(n, rng, true),
-    }
 }
 
 #[cfg(test)]
