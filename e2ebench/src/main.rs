@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use daemon::{Conn, Daemon};
-use stats::{geomean, median, percentile};
+use stats::{geomean, median};
 use workload::{Req, SWEEP_CYCLE};
 
 /// Daemon starts per run: at least `SETUP_MIN_STARTS`, and more while
@@ -482,12 +482,11 @@ fn execute(args: &Args) -> Result<(), String> {
     }
 
     let ms = |v: Option<f64>| v.map(|s| s * 1e3);
-    // Latency percentiles over the requests, each at the median latency
-    // of its kind: the mix's kinds form separate latency clusters, and
-    // a percentile of the raw samples would sit on a cluster's edge.
-    let typical = stats::kind_medians(&run.latencies, &run.kinds);
+    // Latency percentiles over the mix's kinds, each at its median
+    // latency: the kinds form separate latency clusters, and a percentile
+    // of the raw samples would sit on a cluster's edge.
     let kinds = run.kinds.iter().max().map_or(0, |k| k + 1);
-    let (p50, p90) = (percentile(&typical, 0.5), percentile(&typical, 0.9));
+    let [p50, p90] = [0.5, 0.9].map(|q| stats::kind_percentile(&run.latencies, &run.kinds, q));
     let ok_latencies: Vec<f64> = run.latencies.iter().flatten().copied().collect();
     let e2e_mean_ms = stats::mean(&ok_latencies) * 1e3;
     // Throughput is the median over equal windows of the run: one slow
@@ -593,7 +592,7 @@ fn execute(args: &Args) -> Result<(), String> {
                 ", fewer than 10 beyond the percentile"
             };
             format!(
-                "{} requests at their kind's median, {kinds} kinds{rule}",
+                "{} requests, between the medians of {kinds} kinds{rule}",
                 p.samples
             )
         };

@@ -54,19 +54,36 @@ pub fn percentile(samples: &[Option<f64>], q: f64) -> Option<Percentile> {
     })
 }
 
-/// Each sample replaced by the median of the samples of its
-/// kind (`kinds[i]` is sample `i`'s). A kind whose median lands on a
-/// failure has `None` for every sample.
-pub fn kind_medians(samples: &[Option<f64>], kinds: &[usize]) -> Vec<Option<f64>> {
+/// Percentile `q` of a mix of request kinds (`kinds[i]` is sample `i`'s
+/// kind), interpolated over the kinds' medians. Each kind counts once,
+/// as each has the same number of samples in a run that closes at a mix
+/// cycle boundary. A kind whose median lands on a failure sorts above
+/// every latency. `samples` and `beyond` count requests: `beyond` is the
+/// requests of the kinds ranked above the upper of the two kinds.
+pub fn kind_percentile(samples: &[Option<f64>], kinds: &[usize], q: f64) -> Option<Percentile> {
     let mut by_kind: BTreeMap<usize, Vec<Option<f64>>> = BTreeMap::new();
     for (s, k) in samples.iter().zip(kinds) {
         by_kind.entry(*k).or_default().push(*s);
     }
-    let medians: BTreeMap<usize, Option<f64>> = by_kind
-        .into_iter()
-        .map(|(k, v)| (k, percentile(&v, 0.5).and_then(|p| p.value)))
+    let mut medians: Vec<(f64, usize)> = by_kind
+        .values()
+        .map(|v| {
+            let median = percentile(v, 0.5).and_then(|p| p.value);
+            (median.unwrap_or(f64::INFINITY), v.len())
+        })
         .collect();
-    kinds.iter().map(|k| medians[k]).collect()
+    medians.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let typical: Vec<Option<f64>> = medians
+        .iter()
+        .map(|m| m.0.is_finite().then_some(m.0))
+        .collect();
+    let p = percentile(&typical, q)?;
+    let upper = medians.len() - p.beyond;
+    Some(Percentile {
+        value: p.value,
+        samples: samples.len(),
+        beyond: medians[upper..].iter().map(|m| m.1).sum(),
+    })
 }
 
 /// Geometric mean of positive values.
@@ -236,10 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn kind_medians_take_percentiles_off_cluster_edges() {
+    fn kind_percentiles_interpolate_between_kind_medians() {
         // Two kinds, fast and slow, in equal numbers: the raw median
         // rests on the clusters' edges (the fast one's largest sample and
-        // the slow one's smallest), the per-kind one on their medians.
+        // the slow one's smallest), the per-kind one between their medians.
         let kinds: Vec<usize> = (0..20).map(|i| i % 2).collect();
         let samples: Vec<Option<f64>> = (0..20)
             .map(|i| {
@@ -250,20 +267,30 @@ mod tests {
                 })
             })
             .collect();
-        let value = |s: &[Option<f64>], q: f64| percentile(s, q).unwrap().value.unwrap();
-        assert!((value(&samples, 0.5) - (1.18 + 51.0) / 2.0).abs() < 1e-9);
-        let typical = kind_medians(&samples, &kinds);
-        assert!((value(&typical, 0.5) - (1.09 + 60.0) / 2.0).abs() < 1e-9);
-        assert!((value(&typical, 0.9) - 60.0).abs() < 1e-9);
-        // Against the sort oracle on a random mix of five kinds.
+        let raw = percentile(&samples, 0.5).unwrap().value.unwrap();
+        assert!((raw - (1.18 + 51.0) / 2.0).abs() < 1e-9);
+        let of = |q: f64| kind_percentile(&samples, &kinds, q).unwrap();
+        assert!((of(0.5).value.unwrap() - (1.09 + 60.0) / 2.0).abs() < 1e-9);
+        assert!((of(0.9).value.unwrap() - (1.09 + 0.9 * (60.0 - 1.09))).abs() < 1e-9);
+        assert_eq!((of(0.5).samples, of(0.5).beyond), (20, 0));
+        // Against the sort oracle on a random mix of five kinds: the
+        // oracle's percentile of the oracle's per-kind medians.
         for seed in 0..20 {
             let samples = pseudo_random(250, seed, 0);
             let kinds: Vec<usize> = (0..250).map(|i| i % 5).collect();
-            let typical = kind_medians(&samples, &kinds);
-            for (i, t) in typical.iter().enumerate() {
-                let own: Vec<Option<f64>> =
-                    samples.iter().skip(i % 5).step_by(5).copied().collect();
-                assert_eq!(*t, oracle(&own, 0.5));
+            let medians: Vec<Option<f64>> = (0..5)
+                .map(|k| {
+                    let own: Vec<Option<f64>> =
+                        samples.iter().skip(k).step_by(5).copied().collect();
+                    oracle(&own, 0.5)
+                })
+                .collect();
+            for q in [0.5, 0.9] {
+                let p = kind_percentile(&samples, &kinds, q).unwrap();
+                let want = oracle(&medians, q).unwrap();
+                assert!((p.value.unwrap() - want).abs() < 1e-9, "seed={seed} q={q}");
+                // Kinds above the upper rank: 5 − 1 − ceil(q·4), 50 requests each.
+                assert_eq!(p.beyond, 50 * (4 - (q * 4.0).ceil() as usize));
             }
         }
     }
@@ -281,9 +308,11 @@ mod tests {
                 _ => Some(1.0),
             })
             .collect();
-        let typical = kind_medians(&samples, &kinds);
-        assert_eq!(percentile(&typical, 0.5).unwrap().value, Some(1.0));
-        assert_eq!(percentile(&typical, 0.9).unwrap().value, None);
+        assert_eq!(
+            kind_percentile(&samples, &kinds, 0.5).unwrap().value,
+            Some(1.0)
+        );
+        assert_eq!(kind_percentile(&samples, &kinds, 0.9).unwrap().value, None);
     }
 
     #[test]
