@@ -10,10 +10,11 @@
 //! crate's test-suite.
 //!
 //! The front door is [`compile`](mod@crate::compile): a [`Workload`] names
-//! what to compile (circuit / Pauli strings / QAOA graph), a [`Compiler`]
-//! dispatches it through the [`Router`] trait and runs the optional
-//! validate/lower stages, and [`CompileError`] unifies every failure
-//! mode. Three routers are provided, mirroring the paper:
+//! what to compile (circuit / Pauli strings / QAOA graph / surface-code
+//! rounds), a [`Compiler`] matches on its family to pick the router and
+//! runs the optional validate/lower stages, and [`CompileError`] unifies
+//! every failure mode. Four routers are provided, three mirroring the
+//! paper's algorithms:
 //!
 //! * [`generic::GenericRouter`] — Alg. 1: greedy maximum legal subsets of
 //!   the dependency front layer, one flying ancilla per routed CZ,
@@ -68,7 +69,7 @@ pub mod wire;
 pub use cancel::{CancelReason, CancelToken};
 pub use compile::{
     compile, CompileError, CompileOptions, CompileOutput, Compiler, QaoaOptions, QaoaWorkload,
-    QecOptions, QecWorkload, Router, RouterOptions, RouterTag, Workload,
+    QecOptions, QecWorkload, RouterOptions, RouterTag, Workload,
 };
 pub use config::FpqaConfig;
 pub use error::RouteError;

@@ -22,8 +22,10 @@
 //! (the same bytes `--metrics-listen` serves over HTTP).
 //!
 //! `--router auto` infers the router from which workload flags are
-//! present (`--strings` -> qsim, `--graph`/`--edges` -> qaoa,
-//! `--distance` -> qec, else generic); the default remains `generic`.
+//! present (`--qasm`/`--random`/`--bv` -> generic, `--strings` -> qsim,
+//! `--graph`/`--edges`/`--qubits` -> qaoa, `--distance` -> qec, none ->
+//! generic) and rejects flags of two families, naming both; the
+//! default remains `generic`.
 //!
 //! generic workload source (exactly one):
 //!   --qasm FILE            OpenQASM 2.0 file (`-` for stdin)
@@ -66,9 +68,10 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use qpilot_circuit::Circuit;
 use qpilot_core::json::{self, Value};
+use qpilot_core::RouterTag;
 use qpilot_service::protocol::{
-    circuit_to_value_json, compile_request_line, next_request_id, parse_request, qaoa_request_line,
-    qec_request_line, qsim_request_line, Request, QEC_DEFAULT_THETA,
+    circuit_to_value_json, compile_request_line, infer_family, next_request_id, parse_request,
+    qaoa_request_line, qec_request_line, qsim_request_line, Request, QEC_DEFAULT_THETA,
 };
 use qpilot_service::shard::{aggregate_metrics, aggregate_stats, aggregate_store_stats, ShardRing};
 use qpilot_workloads::bv::bernstein_vazirani_random;
@@ -76,6 +79,20 @@ use qpilot_workloads::graphs::erdos_renyi;
 use qpilot_workloads::random::{random_circuit, RandomCircuitConfig};
 
 const SIGINT: i32 = 2;
+
+/// The workload flags that belong to exactly one family, for
+/// `--router auto` (the flag-side counterpart of the daemon's payload
+/// markers).
+const FAMILY_FLAGS: [(&str, RouterTag); 8] = [
+    ("--qasm", RouterTag::Generic),
+    ("--random", RouterTag::Generic),
+    ("--bv", RouterTag::Generic),
+    ("--strings", RouterTag::Qsim),
+    ("--graph", RouterTag::Qaoa),
+    ("--edges", RouterTag::Qaoa),
+    ("--qubits", RouterTag::Qaoa),
+    ("--distance", RouterTag::Qec),
+];
 
 extern "C" {
     // POSIX signal(2)/write(2)/_exit(2), declared directly (as in
@@ -583,20 +600,13 @@ fn main() {
             let cols = parse_opt_usize("--cols");
             let include_schedule = !has_flag("--no-schedule");
             let router = arg_value("--router").unwrap_or_else(|| "generic".to_string());
-            // `auto` mirrors the daemon's field sniffing: infer the
-            // router from which workload flags are present.
+            // `auto` runs the daemon's field sniffing over the workload
+            // flags.
             let router = match router.as_str() {
-                "auto" => {
-                    if arg_value("--strings").is_some() {
-                        "qsim".to_string()
-                    } else if arg_value("--graph").is_some() || arg_value("--edges").is_some() {
-                        "qaoa".to_string()
-                    } else if arg_value("--distance").is_some() {
-                        "qec".to_string()
-                    } else {
-                        "generic".to_string()
-                    }
-                }
+                "auto" => infer_family(&FAMILY_FLAGS, |flag| arg_value(flag).is_some())
+                    .unwrap_or_else(|e| fail(&e))
+                    .map_or("generic", RouterTag::as_str)
+                    .to_string(),
                 _ => router,
             };
             match router.as_str() {

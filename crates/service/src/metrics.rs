@@ -139,6 +139,33 @@ pub fn render_exposition(service: &Service) -> String {
 /// [`render_exposition`] over pre-snapshotted parts (testable without a
 /// live worker pool).
 pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot) -> String {
+    render(stats, compile, &GlobalSnapshots::take())
+}
+
+/// One read of the process-global histograms the exposition renders, in
+/// registry order ([`REQUEST_PATHS`], [`SERVICE_STAGES`],
+/// [`ROUTE_STAGES`]). Rendering from it, rather than from the live
+/// histograms, keeps one document consistent while other threads record.
+struct GlobalSnapshots {
+    paths: Vec<HistogramSnapshot>,
+    stages: Vec<HistogramSnapshot>,
+    route: Vec<HistogramSnapshot>,
+}
+
+impl GlobalSnapshots {
+    fn take() -> Self {
+        GlobalSnapshots {
+            paths: REQUEST_PATHS.iter().map(|(_, h)| h.snapshot()).collect(),
+            stages: SERVICE_STAGES.iter().map(|(_, h)| h.snapshot()).collect(),
+            route: ROUTE_STAGES
+                .iter()
+                .map(|s| s.histogram.snapshot())
+                .collect(),
+        }
+    }
+}
+
+fn render(stats: &ServiceStats, compile: &HistogramSnapshot, globals: &GlobalSnapshots) -> String {
     let mut out = String::with_capacity(4096);
     push_counter(
         &mut out,
@@ -231,12 +258,12 @@ pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot
         "qpilot_request_seconds",
         "End-to-end request latency by serving path.",
     );
-    for (path, h) in REQUEST_PATHS {
+    for ((path, _), snap) in REQUEST_PATHS.iter().zip(&globals.paths) {
         push_summary_series(
             &mut out,
             "qpilot_request_seconds",
             &format!("path=\"{path}\""),
-            &h.snapshot(),
+            snap,
         );
     }
 
@@ -245,12 +272,12 @@ pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot
         "qpilot_service_stage_seconds",
         "Service pipeline span latency by stage.",
     );
-    for (stage, h) in SERVICE_STAGES {
+    for ((stage, _), snap) in SERVICE_STAGES.iter().zip(&globals.stages) {
         push_summary_series(
             &mut out,
             "qpilot_service_stage_seconds",
             &format!("stage=\"{stage}\""),
-            &h.snapshot(),
+            snap,
         );
     }
 
@@ -259,12 +286,12 @@ pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot
         "qpilot_route_stage_seconds",
         "Router stage time per route call, by router and stage.",
     );
-    for s in &ROUTE_STAGES {
+    for (s, snap) in ROUTE_STAGES.iter().zip(&globals.route) {
         push_summary_series(
             &mut out,
             "qpilot_route_stage_seconds",
             &format!("router=\"{}\",stage=\"{}\"", s.router, s.stage),
-            &s.histogram.snapshot(),
+            snap,
         );
     }
     out
@@ -388,16 +415,18 @@ qpilot_cache_hits_total 1
     }
 
     /// The full render is identical across calls on identical inputs
-    /// (line-order stability, satellite requirement).
+    /// (line-order stability). One snapshot of the global histograms is
+    /// rendered twice: tests running in parallel record into them.
     #[test]
     fn exposition_is_deterministic() {
         let compile = Histogram::new();
         compile.record_ns(42_000);
         let snap = compile.snapshot();
         let stats = zero_stats();
+        let globals = GlobalSnapshots::take();
         assert_eq!(
-            render_exposition_parts(&stats, &snap),
-            render_exposition_parts(&stats, &snap)
+            render(&stats, &snap, &globals),
+            render(&stats, &snap, &globals)
         );
     }
 

@@ -184,15 +184,7 @@ impl CompileRequest {
     /// family agreement), run before any queueing.
     fn validate(&self) -> Result<(), CompileError> {
         self.workload.validate()?;
-        if let Some(options) = &self.options {
-            if options.tag() != self.workload.router() {
-                return Err(CompileError::OptionsMismatch {
-                    options: options.tag(),
-                    router: self.workload.router(),
-                });
-            }
-        }
-        Ok(())
+        compile::check_options(&self.workload, self.options.as_ref())
     }
 
     /// The canonical content fingerprint

@@ -42,10 +42,10 @@
 //! The `"router"` tag selects the workload shape (default `generic`;
 //! `auto` infers the family from the payload's marker fields,
 //! order-independently — `circuit`/`qasm` → generic, `strings` → qsim,
-//! `edges`/`qubits` → qaoa, `distance` → qec — and rejects requests
-//! whose markers point at more than one family, naming the conflicting
-//! fields, mirroring [`RouterTag::Auto`] dispatch in
-//! `qpilot_core::compile`):
+//! `edges`/`qubits`/`gammas` → qaoa, `distance` → qec — and rejects
+//! requests whose markers point at more than one family, naming the
+//! conflicting fields). A request for one router that carries another
+//! family's marker field is rejected, naming the field. The shapes:
 //!
 //! * `generic` — `"circuit"` object or `"qasm"` string (exactly one);
 //!   option `"stage_cap"`.
@@ -161,23 +161,19 @@ fn parse_request_doc(doc: &Value, request_id: Option<String>) -> Result<Request,
         "compile" => {
             let router = match doc.get("router") {
                 None | Some(Value::Null) => RouterTag::Generic,
-                Some(v) => {
-                    let name = v.as_str().ok_or("`router` must be a string")?;
-                    RouterTag::parse(name).ok_or_else(|| {
+                Some(v) => match v.as_str().ok_or("`router` must be a string")? {
+                    "auto" => sniff_router(doc)?,
+                    name => RouterTag::parse(name).ok_or_else(|| {
                         format!("unknown router `{name}` (auto|generic|qsim|qaoa|qec)")
-                    })?
-                }
+                    })?,
+                },
             };
-            let router = match router {
-                RouterTag::Auto => sniff_router(doc)?,
-                tag => tag,
-            };
+            reject_foreign_fields(doc, router)?;
             let (workload, options) = match router {
                 RouterTag::Generic => generic_workload(doc)?,
                 RouterTag::Qsim => qsim_workload(doc)?,
                 RouterTag::Qaoa => qaoa_workload(doc)?,
                 RouterTag::Qec => qec_workload(doc)?,
-                RouterTag::Auto => unreachable!("auto resolved above"),
             };
             let cols = opt_positive(doc, "cols")?;
             let include_schedule = match doc.get("schedule") {
@@ -206,31 +202,41 @@ fn parse_request_doc(doc: &Value, request_id: Option<String>) -> Result<Request,
     }
 }
 
-/// The payload fields that mark a workload family for `router: "auto"`
-/// inference. Two markers of the *same* family (`circuit` + `qasm`) are
-/// left for the family parser to arbitrate; markers of *different*
-/// families make the request ambiguous.
-const FAMILY_MARKERS: [(&str, RouterTag); 6] = [
+/// The payload fields that belong to exactly one workload family: they
+/// drive `router: "auto"` inference, and a request for one router that
+/// carries another family's marker is rejected. Two markers of the
+/// *same* family (`circuit` + `qasm`) are left for the family parser to
+/// arbitrate; markers of *different* families make an `auto` request
+/// ambiguous.
+const FAMILY_MARKERS: [(&str, RouterTag); 7] = [
     ("circuit", RouterTag::Generic),
     ("qasm", RouterTag::Generic),
     ("strings", RouterTag::Qsim),
     ("edges", RouterTag::Qaoa),
     ("qubits", RouterTag::Qaoa),
+    ("gammas", RouterTag::Qaoa),
     ("distance", RouterTag::Qec),
 ];
 
-/// Infers the workload family from the payload's marker fields
-/// (mirroring `RouterTag::Auto` dispatch in the core API). The scan is
-/// order-independent: every marker is inspected, and a payload whose
-/// markers point at more than one family is rejected with both
-/// conflicting field names rather than silently compiling whichever
-/// family a fixed priority happened to prefer. A payload with no
-/// marker at all falls through to `generic`, whose parser reports the
-/// missing circuit.
-fn sniff_router(doc: &Value) -> Result<RouterTag, String> {
+/// Infers the one family whose markers are present (`None` when there
+/// are none). `markers` pairs a field or flag name with its family and
+/// `present` says whether the payload carries it. The scan is
+/// order-independent: every marker is inspected, and markers pointing at
+/// more than one family are rejected with both conflicting names rather
+/// than silently picking whichever family a fixed priority happened to
+/// prefer. `qpilot-cli compile --router auto` runs the same inference
+/// over its command-line flags.
+///
+/// # Errors
+///
+/// A message naming the two conflicting markers and their families.
+pub fn infer_family(
+    markers: &[(&str, RouterTag)],
+    present: impl Fn(&str) -> bool,
+) -> Result<Option<RouterTag>, String> {
     let mut inferred: Option<(RouterTag, &str)> = None;
-    for (key, tag) in FAMILY_MARKERS {
-        if doc.get(key).is_none() {
+    for &(key, tag) in markers {
+        if !present(key) {
             continue;
         }
         match inferred {
@@ -244,7 +250,14 @@ fn sniff_router(doc: &Value) -> Result<RouterTag, String> {
             Some(_) => {}
         }
     }
-    Ok(inferred.map_or(RouterTag::Generic, |(tag, _)| tag))
+    Ok(inferred.map(|(tag, _)| tag))
+}
+
+/// Resolves `"router":"auto"` from the payload's marker fields. A
+/// payload with no marker at all falls through to `generic`, whose
+/// parser reports the missing circuit.
+fn sniff_router(doc: &Value) -> Result<RouterTag, String> {
+    Ok(infer_family(&FAMILY_MARKERS, |key| doc.get(key).is_some())?.unwrap_or(RouterTag::Generic))
 }
 
 /// Parses an optional positive-integer field.
@@ -259,12 +272,12 @@ fn opt_positive(doc: &Value, key: &str) -> Result<Option<usize>, String> {
     }
 }
 
-/// Rejects fields belonging to a different router's workload shape —
-/// a typo'd request should fail loudly, not silently compile something
-/// other than what the client meant.
-fn reject_foreign_fields(doc: &Value, router: RouterTag, foreign: &[&str]) -> Result<(), String> {
-    for key in foreign {
-        if doc.get(key).is_some() {
+/// Rejects any [`FAMILY_MARKERS`] field of another router's workload
+/// shape — a typo'd request should fail loudly, not silently compile
+/// something other than what the client meant.
+fn reject_foreign_fields(doc: &Value, router: RouterTag) -> Result<(), String> {
+    for (key, tag) in FAMILY_MARKERS {
+        if tag != router && doc.get(key).is_some() {
             return Err(format!("`{key}` is not a `{router}` router field"));
         }
     }
@@ -274,7 +287,6 @@ fn reject_foreign_fields(doc: &Value, router: RouterTag, foreign: &[&str]) -> Re
 type ParsedWorkload = (Workload, Option<RouterOptions>);
 
 fn generic_workload(doc: &Value) -> Result<ParsedWorkload, String> {
-    reject_foreign_fields(doc, RouterTag::Generic, &["strings", "edges", "gammas"])?;
     let options = opt_positive(doc, "stage_cap")?
         .map(|cap| GenericRouterOptions {
             stage_cap: Some(cap),
@@ -284,7 +296,6 @@ fn generic_workload(doc: &Value) -> Result<ParsedWorkload, String> {
 }
 
 fn qsim_workload(doc: &Value) -> Result<ParsedWorkload, String> {
-    reject_foreign_fields(doc, RouterTag::Qsim, &["circuit", "qasm", "edges"])?;
     let strings = doc
         .get("strings")
         .and_then(Value::as_arr)
@@ -355,7 +366,6 @@ fn angle_list(doc: &Value, scalar: &str, plural: &str) -> Result<Option<Vec<f64>
 }
 
 fn qaoa_workload(doc: &Value) -> Result<ParsedWorkload, String> {
-    reject_foreign_fields(doc, RouterTag::Qaoa, &["circuit", "qasm", "strings"])?;
     let num_qubits = doc
         .get("qubits")
         .and_then(Value::as_u32)
@@ -404,11 +414,6 @@ fn qaoa_workload(doc: &Value) -> Result<ParsedWorkload, String> {
 pub const QEC_DEFAULT_THETA: f64 = std::f64::consts::FRAC_PI_4;
 
 fn qec_workload(doc: &Value) -> Result<ParsedWorkload, String> {
-    reject_foreign_fields(
-        doc,
-        RouterTag::Qec,
-        &["circuit", "qasm", "strings", "edges", "qubits"],
-    )?;
     let distance = doc
         .get("distance")
         .and_then(Value::as_u32)
@@ -1304,6 +1309,13 @@ mod tests {
             // qec request carrying a circuit or qaoa payload
             r#"{"op":"compile","router":"qec","distance":3,"circuit":{"num_qubits":2,"gates":[]}}"#,
             r#"{"op":"compile","router":"qec","distance":3,"edges":[[0,1]]}"#,
+            // qsim and generic requests carrying a qec or qaoa marker
+            r#"{"op":"compile","router":"qsim","strings":["ZZ"],"theta":0.5,"distance":3}"#,
+            r#"{"op":"compile","router":"qsim","strings":["ZZ"],"theta":0.5,"qubits":2}"#,
+            r#"{"op":"compile","router":"generic","circuit":{"num_qubits":2,"gates":[]},"distance":3}"#,
+            r#"{"op":"compile","router":"generic","circuit":{"num_qubits":2,"gates":[]},"qubits":2}"#,
+            // qaoa request carrying a qec marker
+            r#"{"op":"compile","router":"qaoa","qubits":2,"edges":[[0,1]],"gamma":0.7,"distance":3}"#,
             // unknown router
             r#"{"op":"compile","router":"warp","circuit":{"num_qubits":2,"gates":[]}}"#,
         ] {

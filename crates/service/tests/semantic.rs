@@ -213,3 +213,32 @@ fn qec_router_wire_path_is_physically_correct() {
     assert_eq!(compiled, again, "cache round-trip changed the schedule");
     daemon.shutdown();
 }
+
+#[test]
+fn cli_auto_rejects_workload_flags_of_two_families() {
+    // Refused while building the request line, before any connection is
+    // made, so no daemon is needed.
+    for (args, first, second) in [
+        (
+            ["--strings", "ZZ", "--distance", "3"],
+            "--strings",
+            "--distance",
+        ),
+        (
+            ["--random", "8,2,1", "--graph", "6,0.5,1"],
+            "--random",
+            "--graph",
+        ),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_qpilot-cli"))
+            .args(["compile", "--router", "auto", "--no-schedule"])
+            .args(args)
+            .output()
+            .expect("run qpilot-cli");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("ambiguous"), "{stderr}");
+        assert!(stderr.contains(&format!("`{first}`")), "{stderr}");
+        assert!(stderr.contains(&format!("`{second}`")), "{stderr}");
+    }
+}

@@ -12,8 +12,7 @@
 
 use qpilot::circuit::{Circuit, PauliString};
 use qpilot::core::compile::{
-    compile, CompileError, CompileOptions, Compiler, QaoaOptions, RouterOptions, RouterTag,
-    Workload,
+    compile, CompileOptions, Compiler, QaoaOptions, RouterOptions, Workload,
 };
 use qpilot::core::generic::{GenericRouter, GenericRouterOptions};
 use qpilot::core::qaoa::{QaoaRouter, QaoaRouterOptions};
@@ -128,36 +127,6 @@ fn qaoa_pipeline_matches_direct_router_bytes() {
         schedule_to_json(piped.schedule()),
         schedule_to_json(direct.schedule())
     );
-}
-
-#[test]
-fn explicit_router_tags_match_auto_dispatch() {
-    let cfg = FpqaConfig::square_for(4);
-    let workloads = [
-        Workload::circuit(golden_circuit()),
-        Workload::pauli_strings(golden_strings(), 0.5),
-        Workload::qaoa_round(4, vec![(0, 1), (2, 3)], 0.7, 0.3),
-    ];
-    for workload in &workloads {
-        let auto = compile(workload, &cfg).unwrap();
-        let explicit = Compiler::with_options(CompileOptions::new().router(workload.router()))
-            .compile(workload, &cfg)
-            .unwrap()
-            .into_program();
-        assert_eq!(
-            schedule_to_json(auto.schedule()),
-            schedule_to_json(explicit.schedule())
-        );
-        // And the wrong explicit tag is refused, not misrouted.
-        let wrong = match workload.router() {
-            RouterTag::Generic => RouterTag::Qsim,
-            _ => RouterTag::Generic,
-        };
-        let err = Compiler::with_options(CompileOptions::new().router(wrong))
-            .compile(workload, &cfg)
-            .unwrap_err();
-        assert!(matches!(err, CompileError::RouterMismatch { .. }));
-    }
 }
 
 // ---------------------------------------------------------------------
