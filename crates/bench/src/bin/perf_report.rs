@@ -16,7 +16,11 @@
 //! wall-clock/stats rows on their own workload families (the qec sweep
 //! uses the largest distance whose `d²` register fits each size), and a
 //! `families[]` section records the ancilla-vs-SWAP depth comparison
-//! (`qpilot_bench::depth`) at fixed family sizes. The `routers[]` rows
+//! (`qpilot_bench::depth`) at fixed family sizes. A `wire` section times
+//! the canonical `qpilot.schedule/v1` codec on each size's generic
+//! schedule (serialise and parse MB/s, plus a parse linearity ratio: time
+//! per byte at the largest size over time per byte at the smallest, ~1
+//! for a linear parser). The `routers[]` rows
 //! report best-of-reps (`min_secs`) rather than medians: routing is
 //! deterministic, so noise only ever inflates a sample, and the CI
 //! ceilings should gate the code, not the load of a shared runner. Run
@@ -39,6 +43,7 @@ use qpilot_core::compile::{CompileOptions, Compiler, Workload};
 use qpilot_core::generic::GenericRouterOptions;
 use qpilot_core::generic_reference::route_reference;
 use qpilot_core::obs;
+use qpilot_core::wire::{schedule_from_json, schedule_to_json};
 use qpilot_core::{CompiledProgram, FpqaConfig};
 use qpilot_workloads::graphs::random_regular;
 use qpilot_workloads::pauli::{random_pauli_strings, PauliWorkloadConfig};
@@ -306,6 +311,52 @@ fn bench_qec(n: u32, reps: usize) -> AuxRow {
     aux_row("qec", d * d, format!("surface_d{d}_r1"), wall, &program)
 }
 
+/// One `wire.sizes[]` row: the canonical codec on the generic router's
+/// schedule at one size, best of reps in each direction (the work is
+/// deterministic, so noise only inflates a sample).
+struct WireRow {
+    qubits: u32,
+    bytes: usize,
+    serialise_s: f64,
+    parse_s: f64,
+}
+
+impl WireRow {
+    fn serialise_mb_per_s(&self) -> f64 {
+        self.bytes as f64 * 1e-6 / self.serialise_s
+    }
+
+    fn parse_mb_per_s(&self) -> f64 {
+        self.bytes as f64 * 1e-6 / self.parse_s
+    }
+}
+
+fn bench_wire(n: u32, factor: usize, reps: usize) -> WireRow {
+    let workload = Workload::circuit(random_circuit(&RandomCircuitConfig::paper(n, factor, 1)));
+    let program = Compiler::new()
+        .compile(&workload, &FpqaConfig::square_for(n))
+        .expect("generic routes")
+        .into_program();
+    let schedule = program.schedule();
+    let json = schedule_to_json(schedule);
+    WireRow {
+        qubits: n,
+        bytes: json.len(),
+        serialise_s: min_secs(reps, || schedule_to_json(schedule)),
+        parse_s: min_secs(reps, || schedule_from_json(&json).expect("own bytes parse")),
+    }
+}
+
+/// Parse time per byte at the largest document over that at the
+/// smallest: ~1 for a linear parser, growing with size for a
+/// superlinear one.
+fn parse_linearity(rows: &[WireRow]) -> f64 {
+    let per_byte = |r: &WireRow| r.parse_s / r.bytes as f64;
+    let smallest = rows.iter().min_by_key(|r| r.bytes).expect("nonempty sizes");
+    let largest = rows.iter().max_by_key(|r| r.bytes).expect("nonempty sizes");
+    per_byte(largest) / per_byte(smallest)
+}
+
 /// One `stage_profile` report row: a router stage's median per-route
 /// cost and its share of the router's total instrumented time.
 struct StageRow {
@@ -447,8 +498,10 @@ fn main() {
 
     let mut generic_rows = Vec::new();
     let mut aux_rows = Vec::new();
+    let mut wire_rows = Vec::new();
     for &n in &sizes {
         generic_rows.push(bench_generic(n, factor, reps, batch, threads));
+        wire_rows.push(bench_wire(n, factor, reps));
         aux_rows.push(bench_generic_aux(n, factor, reps));
         aux_rows.push(bench_qsim(n, reps));
         aux_rows.push(bench_qaoa(n, reps));
@@ -497,6 +550,28 @@ fn main() {
     println!("\nspecialised routers");
     aux.print();
 
+    let linearity = parse_linearity(&wire_rows);
+    let mut wire = Table::new(&[
+        "qubits",
+        "KB",
+        "ser_ms",
+        "ser_MB/s",
+        "parse_ms",
+        "parse_MB/s",
+    ]);
+    for row in &wire_rows {
+        wire.row(vec![
+            row.qubits.to_string(),
+            format!("{:.1}", row.bytes as f64 / 1e3),
+            format!("{:.3}", row.serialise_s * 1e3),
+            format!("{:.1}", row.serialise_mb_per_s()),
+            format!("{:.3}", row.parse_s * 1e3),
+            format!("{:.1}", row.parse_mb_per_s()),
+        ]);
+    }
+    println!("\nwire codec (qpilot.schedule/v1, parse linearity {linearity:.2})");
+    wire.print();
+
     // Per-stage route profile + instrumentation overhead, at the largest
     // swept size (where stage costs are most visible).
     let n_max = *sizes.iter().max().expect("nonempty sizes");
@@ -531,6 +606,7 @@ fn main() {
         &aux_rows,
         &stage_rows,
         &family_rows,
+        &wire_rows,
         obs_overhead_pct,
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
@@ -568,6 +644,7 @@ fn render_json(
     aux_rows: &[AuxRow],
     stage_rows: &[StageRow],
     family_rows: &[depth::FamilyRow],
+    wire_rows: &[WireRow],
     obs_overhead_pct: f64,
 ) -> String {
     let mut s = String::new();
@@ -639,6 +716,26 @@ fn render_json(
         s,
         "  \"families\": {},",
         depth::families_json_array(family_rows)
+    );
+    s.push_str("  \"wire\": {\"sizes\": [\n");
+    for (i, r) in wire_rows.iter().enumerate() {
+        let _ = write!(
+            s,
+            "    {{\"qubits\": {}, \"bytes\": {}, \"serialise_s\": {:.6}, \
+             \"serialise_mb_per_s\": {:.3}, \"parse_s\": {:.6}, \"parse_mb_per_s\": {:.3}}}",
+            r.qubits,
+            r.bytes,
+            r.serialise_s,
+            r.serialise_mb_per_s(),
+            r.parse_s,
+            r.parse_mb_per_s(),
+        );
+        s.push_str(if i + 1 < wire_rows.len() { ",\n" } else { "\n" });
+    }
+    let _ = writeln!(
+        s,
+        "  ], \"parse_linearity\": {:.3}}},",
+        parse_linearity(wire_rows)
     );
     let _ = writeln!(s, "  \"obs_overhead_pct\": {obs_overhead_pct:.3}");
     s.push_str("}\n");

@@ -27,7 +27,9 @@
 //!     ],
 //!     "families": [
 //!       {"family": "qec", "qubits": 49, "min_depth_ratio": 2.8}
-//!     ]
+//!     ],
+//!     "wire": {"min_parse_mb_per_s": 10.0, "min_serialise_mb_per_s": 50.0,
+//!              "max_parse_linearity": 2.5}
 //!   },
 //!   "service": {
 //!     "require_identical": true, "min_warm_speedup": 10.0,
@@ -48,6 +50,12 @@
 //! gate the reactor's sustained-concurrency section: the connection
 //! count actually held open, a drop ceiling (normally 0), a throughput
 //! floor and a p99 latency ceiling.
+//!
+//! The `routing.wire` keys gate the schedule codec: MB/s floors that
+//! every `wire.sizes[]` row must clear in each direction, and a ceiling
+//! on `wire.parse_linearity` (parse time per byte at the largest size
+//! over the smallest), which catches a superlinear parser whatever the
+//! machine's speed.
 //!
 //! Rows are matched by `qubits`; measured sizes without a thresholds
 //! entry are not gated (the full sweep and the CI smoke use different
@@ -196,6 +204,9 @@ pub fn check_routing(report: &Value, thresholds: &Value) -> Vec<String> {
         }
     }
     violations.extend(check_families(report, thresholds));
+    if let Some(wire_gates) = gates.get("wire") {
+        violations.extend(check_wire(report, wire_gates));
+    }
     // Observability gate: the instrumented route may not be more than
     // `max_obs_overhead_pct` percent slower than the uninstrumented one.
     // A gated thresholds file demands the measurement be present.
@@ -208,6 +219,52 @@ pub fn check_routing(report: &Value, thresholds: &Value) -> Vec<String> {
             None => {
                 violations.push("routing report has no `obs_overhead_pct` field".to_string());
             }
+        }
+    }
+    violations
+}
+
+/// Checks a routing report's `wire` section against the `routing.wire`
+/// gates. A gated report without the section is itself a violation.
+fn check_wire(report: &Value, gates: &Value) -> Vec<String> {
+    let mut violations = Vec::new();
+    let Some(wire) = report.get("wire") else {
+        violations.push("routing report has no `wire` section".to_string());
+        return violations;
+    };
+    let rows: &[Value] = wire
+        .get("sizes")
+        .and_then(Value::as_arr)
+        .unwrap_or_default();
+    if rows.is_empty() {
+        violations.push("`wire` section has no `sizes` rows".to_string());
+    }
+    for row in rows {
+        let qubits = row.get("qubits").and_then(Value::as_u64).unwrap_or(0);
+        for (direction, gate_key, row_key) in [
+            ("parse", "min_parse_mb_per_s", "parse_mb_per_s"),
+            ("serialise", "min_serialise_mb_per_s", "serialise_mb_per_s"),
+        ] {
+            let Some(min) = num(gates, gate_key) else {
+                continue;
+            };
+            match num(row, row_key) {
+                Some(got) if got < min => violations.push(format!(
+                    "wire {qubits}q: {direction} {got:.1} MB/s below floor {min:.1} MB/s"
+                )),
+                Some(_) => {}
+                None => violations.push(format!("`wire` row at {qubits}q has no `{row_key}`")),
+            }
+        }
+    }
+    if let Some(max) = num(gates, "max_parse_linearity") {
+        match num(wire, "parse_linearity") {
+            Some(got) if got > max => violations.push(format!(
+                "wire parse linearity {got:.2} above ceiling {max:.2}: parse time per byte \
+                 grows with document size"
+            )),
+            Some(_) => {}
+            None => violations.push("`wire` section has no `parse_linearity`".to_string()),
         }
     }
     violations
@@ -662,6 +719,54 @@ mod tests {
         let violations = check_routing(&report, &obs_thresholds());
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("obs_overhead_pct"), "{violations:?}");
+    }
+
+    fn wire_thresholds() -> Value {
+        json::parse(
+            r#"{"schema":"qpilot.bench.thresholds/v1",
+                "routing":{"require_identical":false,"sizes":[],
+                  "wire":{"min_parse_mb_per_s":10.0,"min_serialise_mb_per_s":50.0,
+                          "max_parse_linearity":2.5}}}"#,
+        )
+        .unwrap()
+    }
+
+    fn wire_report(parse_100: f64, linearity: f64) -> Value {
+        json::parse(&format!(
+            r#"{{"generic":[{{"qubits":100,"schedules_identical":true}}],
+                 "wire":{{"sizes":[
+                   {{"qubits":20,"parse_mb_per_s":60.0,"serialise_mb_per_s":280.0}},
+                   {{"qubits":100,"parse_mb_per_s":{parse_100},"serialise_mb_per_s":190.0}}],
+                   "parse_linearity":{linearity}}}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn linear_fast_codec_passes_the_wire_gates() {
+        assert!(check_routing(&wire_report(48.0, 1.1), &wire_thresholds()).is_empty());
+    }
+
+    #[test]
+    fn quadratic_parser_trips_floor_and_linearity_ceiling() {
+        // The pre-linear parser: 0.33 MB/s at 100q, ~5.6× costlier per byte.
+        let violations = check_routing(&wire_report(0.33, 5.6), &wire_thresholds());
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].contains("wire 100q: parse"), "{violations:?}");
+        assert!(violations[1].contains("linearity"), "{violations:?}");
+    }
+
+    #[test]
+    fn missing_wire_section_is_a_violation_when_gated() {
+        let report =
+            json::parse(r#"{"generic":[{"qubits":100,"schedules_identical":true}]}"#).unwrap();
+        let violations = check_routing(&report, &wire_thresholds());
+        assert_eq!(
+            violations,
+            vec!["routing report has no `wire` section".to_string()]
+        );
+        // Ungated thresholds do not demand the section.
+        assert!(check_routing(&report, &thresholds()).is_empty());
     }
 
     fn family_thresholds() -> Value {

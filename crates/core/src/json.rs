@@ -7,13 +7,26 @@
 //! `f64`, which is exact for the integers this workspace produces
 //! (`u32` ids, counts) and for every float the writers emit.
 //!
-//! Writing is canonical: [`fmt_f64`] uses Rust's shortest round-trip
-//! `Display`, object keys keep insertion order, and no whitespace is
-//! emitted. Serialising, parsing and re-serialising any [`Value`] is
-//! byte-identical, which the service relies on for cache-hit byte
-//! equality checks.
+//! Writing is canonical: [`write_f64`] produces Rust's shortest
+//! round-trip `Display`, object keys keep insertion order, and no
+//! whitespace is emitted. Serialising, parsing and re-serialising any
+//! [`Value`] is byte-identical, which the service relies on for
+//! cache-hit byte equality checks. Numbers are written in place:
+//! [`write_u64`] emits integer digits directly, and [`write_f64`] sends
+//! integral values below 2^53 through it (the same digits `Display`
+//! prints) and everything else through `Display`.
+//!
+//! Parsing is linear in the input. The source is already a `&str`, so a
+//! string body is copied one run at a time: the scanner stops only at a
+//! quote, a backslash or a control byte (all ASCII, so every run ends on
+//! a char boundary) and appends the run with one `push_str`, never
+//! re-checking UTF-8. Numbers take an integer fast path: a plain run of
+//! at most 15 digits without a leading zero is accumulated as a `u64`,
+//! and every such run is exact as an `f64`; signs, fractions, exponents,
+//! longer runs and leading zeros go through `str::parse::<f64>`, and both
+//! paths give bit-identical values.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Objects preserve key order (insertion order when
 /// built, source order when parsed).
@@ -105,7 +118,7 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => out.push_str(&fmt_f64(*n)),
+            Value::Num(n) => write_f64(out, *n),
             Value::Str(s) => write_json_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
@@ -141,8 +154,46 @@ impl Value {
 /// Panics on non-finite input — JSON has no representation for it, and no
 /// schedule or report in this workspace produces one.
 pub fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    write_f64(&mut out, v);
+    out
+}
+
+/// Appends `v` in the canonical [`fmt_f64`] form, without a temporary.
+///
+/// # Panics
+///
+/// Panics on non-finite input, as [`fmt_f64`] does.
+pub fn write_f64(out: &mut String, v: f64) {
     assert!(v.is_finite(), "cannot serialise non-finite number to JSON");
-    format!("{v}")
+    // Integral values below 2^53 (most schedule coordinates) have the
+    // same digits as their integer form, which `write_u64` emits far
+    // faster than float `Display`; `-0.0` keeps its sign by taking the
+    // float path.
+    if v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 && (v != 0.0 || v.is_sign_positive()) {
+        if v < 0.0 {
+            out.push('-');
+        }
+        write_u64(out, v.abs() as u64);
+    } else {
+        write!(out, "{v}").expect("writing to a String cannot fail");
+    }
+}
+
+/// Appends the decimal digits of `v`: the bytes its `Display` writes,
+/// without a pass through the formatting machinery.
+pub fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ascii digits"));
 }
 
 /// Appends `s` as a quoted, escaped JSON string.
@@ -158,7 +209,7 @@ pub fn write_json_str(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -199,12 +250,12 @@ pub const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected; containers may nest at most [`MAX_DEPTH`] deep).
+/// Runs in time linear in `src.len()`.
 pub fn parse(src: &str) -> Result<Value, JsonError> {
-    let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(src, &mut pos, 0)?;
+    skip_ws(src.as_bytes(), &mut pos);
+    if pos != src.len() {
         return Err(err(pos, "trailing characters"));
     }
     Ok(value)
@@ -223,7 +274,8 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
+fn parse_value(src: &str, pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
+    let bytes = src.as_bytes();
     skip_ws(bytes, pos);
     if depth > MAX_DEPTH {
         return Err(err(*pos, "nesting deeper than 128 levels"));
@@ -233,7 +285,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Jso
         Some(b'n') => literal(bytes, pos, "null", Value::Null),
         Some(b't') => literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
+        Some(b'"') => parse_string(src, pos).map(Value::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -243,7 +295,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Jso
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(src, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -265,13 +317,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Jso
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(src, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(err(*pos, "expected `:`"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(src, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -297,6 +349,10 @@ fn literal(bytes: &[u8], pos: &mut usize, text: &str, value: Value) -> Result<Va
     }
 }
 
+/// The longest digit run the integer fast path takes: `10^15 - 1` is
+/// below `2^53`, so every such run is exact as an `f64`.
+const FAST_INT_DIGITS: usize = 15;
+
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
@@ -307,19 +363,38 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number chars");
+    let digits = &bytes[start..*pos];
+    if (1..=FAST_INT_DIGITS).contains(&digits.len())
+        && (digits[0] != b'0' || digits.len() == 1)
+        && digits.iter().all(u8::is_ascii_digit)
+    {
+        let v = digits
+            .iter()
+            .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'));
+        return Ok(Value::Num(v as f64));
+    }
+    let text = std::str::from_utf8(digits).expect("ascii number chars");
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|_| err(start, "invalid number"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = src.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(err(*pos, "expected string"));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote, backslash or control byte.
+        // All three are ASCII, so the run ends on a char boundary.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .map_or(bytes.len(), |n| *pos + n);
+        out.push_str(&src[*pos..run]);
+        *pos = run;
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
@@ -363,15 +438,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x20 => return Err(err(*pos, "control character in string")),
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err(err(*pos, "control character in string")),
         }
     }
 }
@@ -384,8 +451,14 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     if end > bytes.len() {
         return Err(err(*pos, "truncated \\u escape"));
     }
-    let text = std::str::from_utf8(&bytes[start..end]).map_err(|_| err(start, "bad hex"))?;
-    let v = u32::from_str_radix(text, 16).map_err(|_| err(start, "bad hex"))?;
+    // Exactly four hex digits: `from_str_radix` would also take a sign.
+    let mut v = 0;
+    for &b in &bytes[start..end] {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| err(start, "bad hex"))?;
+        v = v * 16 + digit;
+    }
     *pos = end - 1;
     Ok(v)
 }
@@ -434,6 +507,8 @@ mod tests {
         let v = parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1F600}"));
         assert!(parse(r#""\ud83d""#).is_err());
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u00é""#).is_err());
         assert!(parse(r#""\udc00""#).is_err());
     }
 
@@ -476,6 +551,39 @@ mod tests {
         assert_eq!(fmt_f64(100.0), "100");
         assert_eq!(fmt_f64(0.5), "0.5");
         assert_eq!(Value::Num(3.0).to_json(), "3");
+    }
+
+    #[test]
+    fn number_writers_match_display() {
+        let two53 = 9_007_199_254_740_992.0f64;
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            10.0,
+            0.5,
+            -2.5,
+            1e-7,
+            1e15,
+            1e16,
+            two53 - 1.0,
+            two53,
+            -(two53 - 1.0),
+            -two53,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            let mut out = String::new();
+            write_f64(&mut out, v);
+            assert_eq!(out, format!("{v}"), "{v:e}");
+        }
+        for v in [0, 7, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::new();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::fmt;
 
 use qpilot_circuit::{Gate, Qubit};
 
-use crate::json::{self, fmt_f64, Value};
+use crate::json::{self, write_f64, write_u64, Value};
 use crate::schedule::{
     AncillaId, AtomRef, RydbergKind, RydbergOp, Schedule, ScheduleBuilder, StageRef, TransferOp,
 };
@@ -80,14 +80,10 @@ pub fn schedule_to_json(schedule: &Schedule) -> String {
     let mut out = String::with_capacity(64 + schedule.num_stages() * 48);
     out.push_str("{\"format\":\"");
     out.push_str(SCHEDULE_FORMAT);
-    out.push_str("\",\"num_data\":");
-    out.push_str(&schedule.num_data.to_string());
-    out.push_str(",\"num_ancillas\":");
-    out.push_str(&schedule.num_ancillas.to_string());
-    out.push_str(",\"aod_rows\":");
-    out.push_str(&schedule.aod_rows.to_string());
-    out.push_str(",\"aod_cols\":");
-    out.push_str(&schedule.aod_cols.to_string());
+    write_num(&mut out, "\",\"num_data\":", schedule.num_data.into());
+    write_num(&mut out, ",\"num_ancillas\":", schedule.num_ancillas.into());
+    write_num(&mut out, ",\"aod_rows\":", schedule.aod_rows as u64);
+    write_num(&mut out, ",\"aod_cols\":", schedule.aod_cols as u64);
     out.push_str(",\"stages\":[");
     for (i, stage) in schedule.stages().enumerate() {
         if i > 0 {
@@ -120,14 +116,10 @@ pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('[');
-                out.push_str(&op.ancilla.0.to_string());
-                out.push(',');
-                out.push_str(&op.row.to_string());
-                out.push(',');
-                out.push_str(&op.col.to_string());
-                out.push(',');
-                out.push_str(if op.load { "true" } else { "false" });
+                write_num(out, "[", op.ancilla.0.into());
+                write_num(out, ",", op.row as u64);
+                write_num(out, ",", op.col as u64);
+                out.push_str(if op.load { ",true" } else { ",false" });
                 out.push(']');
             }
             out.push_str("]}");
@@ -138,14 +130,14 @@ pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&fmt_f64(*y));
+                write_f64(out, *y);
             }
             out.push_str("],\"col_x\":[");
             for (i, x) in col_x.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&fmt_f64(*x));
+                write_f64(out, *x);
             }
             out.push_str("]}");
         }
@@ -169,7 +161,7 @@ pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
                     }
                     RydbergKind::Zz(theta) => {
                         out.push_str("[\"zz\",");
-                        out.push_str(&fmt_f64(theta));
+                        write_f64(out, theta);
                         out.push(']');
                     }
                 }
@@ -182,17 +174,17 @@ pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
 
 fn write_atom(out: &mut String, atom: AtomRef) {
     match atom {
-        AtomRef::Data(q) => {
-            out.push_str("[\"d\",");
-            out.push_str(&q.to_string());
-            out.push(']');
-        }
-        AtomRef::Ancilla(a) => {
-            out.push_str("[\"a\",");
-            out.push_str(&a.0.to_string());
-            out.push(']');
-        }
+        AtomRef::Data(q) => write_num(out, "[\"d\",", q.into()),
+        AtomRef::Ancilla(a) => write_num(out, "[\"a\",", a.0.into()),
     }
+    out.push(']');
+}
+
+/// Appends `prefix`, then `v` in decimal: the bytes `to_string` would
+/// produce, written in place.
+fn write_num(out: &mut String, prefix: &str, v: u64) {
+    out.push_str(prefix);
+    write_u64(out, v);
 }
 
 /// Serialises one gate in the compact wire encoding (shared with the
@@ -203,29 +195,23 @@ pub fn write_gate(out: &mut String, g: &Gate) {
     out.push('"');
     match *g {
         Gate::Rx(q, t) | Gate::Ry(q, t) | Gate::Rz(q, t) => {
+            write_num(out, ",", q.raw().into());
             out.push(',');
-            out.push_str(&q.raw().to_string());
-            out.push(',');
-            out.push_str(&fmt_f64(t));
+            write_f64(out, t);
         }
         Gate::Zz(a, b, t) => {
+            write_num(out, ",", a.raw().into());
+            write_num(out, ",", b.raw().into());
             out.push(',');
-            out.push_str(&a.raw().to_string());
-            out.push(',');
-            out.push_str(&b.raw().to_string());
-            out.push(',');
-            out.push_str(&fmt_f64(t));
+            write_f64(out, t);
         }
         Gate::Cx(a, b) | Gate::Cz(a, b) | Gate::Swap(a, b) => {
-            out.push(',');
-            out.push_str(&a.raw().to_string());
-            out.push(',');
-            out.push_str(&b.raw().to_string());
+            write_num(out, ",", a.raw().into());
+            write_num(out, ",", b.raw().into());
         }
         _ => {
             let q = g.operands().into_iter().next().expect("1Q operand");
-            out.push(',');
-            out.push_str(&q.raw().to_string());
+            write_num(out, ",", q.raw().into());
         }
     }
     out.push(']');

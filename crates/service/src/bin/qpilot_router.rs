@@ -188,16 +188,10 @@ fn route(pool: &ShardPool, ring: &ShardRing, line: &str) -> Handled {
         Ok(Request::Compile { request, .. }) => {
             let addr = ring.shard_for(&request.fingerprint()).to_string();
             match pool.round_trip(&addr, line) {
-                Ok(response) => Handled {
-                    response,
-                    shutdown: false,
-                },
-                Err(e) => Handled {
-                    // Transient from the client's seat: the shard may
-                    // come back, or the operator may repoint the ring.
-                    response: render_error(&e, true, &request_id_of(line)),
-                    shutdown: false,
-                },
+                Ok(response) => Handled::line(response),
+                // Transient from the client's seat: the shard may come
+                // back, or the operator may repoint the ring.
+                Err(e) => Handled::line(render_error(&e, true, &request_id_of(line))),
             }
         }
         Ok(Request::Stats) => aggregated(pool, ring, line, aggregate_stats),
@@ -210,11 +204,11 @@ fn route(pool: &ShardPool, ring: &ShardRing, line: &str) -> Handled {
                 let _ = pool.round_trip(addr, line);
             }
             Handled {
-                response: format!(
+                shutdown: true,
+                ..Handled::line(format!(
                     "{{\"ok\":true,\"op\":\"shutdown\",\"request_id\":{}}}",
                     json_str(&request_id_of(line))
-                ),
-                shutdown: true,
+                ))
             }
         }
         // Ping and malformed lines: any daemon renders these
@@ -222,14 +216,8 @@ fn route(pool: &ShardPool, ring: &ShardRing, line: &str) -> Handled {
         Ok(Request::Ping) | Err(_) => {
             let addr = &ring.addrs()[0];
             match pool.round_trip(addr, line) {
-                Ok(response) => Handled {
-                    response,
-                    shutdown: false,
-                },
-                Err(e) => Handled {
-                    response: render_error(&e, true, &request_id_of(line)),
-                    shutdown: false,
-                },
+                Ok(response) => Handled::line(response),
+                Err(e) => Handled::line(render_error(&e, true, &request_id_of(line))),
             }
         }
     }
@@ -245,10 +233,7 @@ fn aggregated(
     let response = fan_out(pool, ring, line)
         .and_then(|responses| merge(&responses, &request_id))
         .unwrap_or_else(|e| render_error(&e, true, &request_id));
-    Handled {
-        response,
-        shutdown: false,
-    }
+    Handled::line(response)
 }
 
 fn main() {

@@ -70,7 +70,9 @@
 //! transient conditions (`"retry_after_ms"` hints the backoff for
 //! overload), and `"deadline":true` marks a missed deadline.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use qpilot_circuit::{Circuit, PauliString};
@@ -657,12 +659,15 @@ pub fn render_compile_response(
     include_schedule: bool,
     request_id: &str,
 ) -> String {
+    compile_reply(response, include_schedule, request_id).into_line()
+}
+
+/// [`render_compile_response`] as a [`Handled`] whose schedule body is
+/// the cache entry's shared bytes, so the reply is never copied into a
+/// fresh line on the dispatcher thread.
+fn compile_reply(response: &CompileResponse, include_schedule: bool, request_id: &str) -> Handled {
     let entry = &response.entry;
-    let mut out = String::with_capacity(if include_schedule {
-        entry.schedule_json.len() + 256
-    } else {
-        256
-    });
+    let mut out = String::with_capacity(256);
     out.push_str("{\"ok\":true,\"op\":\"compile\",\"request_id\":");
     out.push_str(&json_str(request_id));
     out.push_str(",\"path\":\"");
@@ -680,15 +685,19 @@ pub fn render_compile_response(
         "miss"
     });
     out.push_str("\",\"compile_ms\":");
-    out.push_str(&json::fmt_f64(round6(entry.compile_s * 1e3)));
+    json::write_f64(&mut out, round6(entry.compile_s * 1e3));
     out.push_str(",\"stats\":");
     write_stats_obj(&mut out, &entry.stats);
-    if include_schedule {
-        out.push_str(",\"schedule\":");
-        out.push_str(&entry.schedule_json);
+    if !include_schedule {
+        out.push('}');
+        return Handled::line(out);
     }
-    out.push('}');
-    out
+    out.push_str(",\"schedule\":");
+    Handled {
+        response: out,
+        schedule: Some(Arc::clone(&entry.schedule_json)),
+        shutdown: false,
+    }
 }
 
 /// Renders a stats response line: the service counters plus the
@@ -875,10 +884,51 @@ fn round6(v: f64) -> f64 {
 /// should shut down after sending it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Handled {
-    /// The response line (no trailing newline).
+    /// The response line (no trailing newline). When `schedule` is set,
+    /// this is only the line's head: the schedule body follows it, then
+    /// the closing `}`.
     pub response: String,
+    /// A schedule body shared with the cache entry it came from, written
+    /// straight after `response` instead of being copied into it.
+    pub schedule: Option<Arc<str>>,
     /// `true` after a `shutdown` request.
     pub shutdown: bool,
+}
+
+impl Handled {
+    /// A self-contained response line that does not shut the daemon down.
+    pub fn line(response: String) -> Handled {
+        Handled {
+            response,
+            schedule: None,
+            shutdown: false,
+        }
+    }
+
+    /// Writes the whole line plus its newline to `out`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors from `out`.
+    pub fn write_line(&self, out: &mut impl Write) -> io::Result<()> {
+        out.write_all(self.response.as_bytes())?;
+        if let Some(body) = &self.schedule {
+            out.write_all(body.as_bytes())?;
+            out.write_all(b"}")?;
+        }
+        out.write_all(b"\n")
+    }
+
+    /// The whole line (no trailing newline) as one string.
+    pub fn into_line(self) -> String {
+        let mut line = self.response;
+        if let Some(body) = self.schedule {
+            line.reserve_exact(body.len() + 1);
+            line.push_str(&body);
+            line.push('}');
+        }
+        line
+    }
 }
 
 /// Parses and executes one request line against `service`. Never panics
@@ -918,39 +968,26 @@ pub fn handle_line(service: &Service, line: &str) -> Handled {
                     ("ok", Field::Bool(false)),
                 ],
             );
-            return Handled {
-                response: render_error(&message, false, &rid),
-                shutdown: false,
-            };
+            return Handled::line(render_error(&message, false, &rid));
         }
         Ok((request, rid)) => (request, rid.unwrap_or_else(next_request_id)),
     };
     match request {
-        Request::Ping => Handled {
-            response: format!(
-                "{{\"ok\":true,\"op\":\"pong\",\"request_id\":{}}}",
-                json_str(&rid)
-            ),
-            shutdown: false,
-        },
-        Request::Stats => Handled {
-            response: render_stats_response(&service.stats(), &rid),
-            shutdown: false,
-        },
-        Request::StoreStats => Handled {
-            response: render_store_stats_response(&service.store_stats(), &rid),
-            shutdown: false,
-        },
-        Request::Metrics => Handled {
-            response: render_metrics_response(service, &rid),
-            shutdown: false,
-        },
+        Request::Ping => Handled::line(format!(
+            "{{\"ok\":true,\"op\":\"pong\",\"request_id\":{}}}",
+            json_str(&rid)
+        )),
+        Request::Stats => Handled::line(render_stats_response(&service.stats(), &rid)),
+        Request::StoreStats => {
+            Handled::line(render_store_stats_response(&service.store_stats(), &rid))
+        }
+        Request::Metrics => Handled::line(render_metrics_response(service, &rid)),
         Request::Shutdown => Handled {
-            response: format!(
+            shutdown: true,
+            ..Handled::line(format!(
                 "{{\"ok\":true,\"op\":\"shutdown\",\"request_id\":{}}}",
                 json_str(&rid)
-            ),
-            shutdown: true,
+            ))
         },
         Request::Compile {
             request,
@@ -974,14 +1011,8 @@ pub fn handle_line(service: &Service, line: &str) -> Handled {
                 ],
             );
             match result {
-                Ok(response) => Handled {
-                    response: render_compile_response(&response, include_schedule, &rid),
-                    shutdown: false,
-                },
-                Err(e) => Handled {
-                    response: render_service_error(&e, &rid),
-                    shutdown: false,
-                },
+                Ok(response) => compile_reply(&response, include_schedule, &rid),
+                Err(e) => Handled::line(render_service_error(&e, &rid)),
             }
         }
     }
@@ -1381,27 +1412,28 @@ mod tests {
         let ok = handle_line(
             &svc,
             r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]]}}"#,
-        );
-        assert!(ok.response.starts_with("{\"ok\":true"));
+        )
+        .into_line();
+        assert!(ok.starts_with("{\"ok\":true"));
     }
 
     #[test]
     fn compile_stats_shutdown_flow() {
         let svc = service();
         let line = r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]]}}"#;
-        let first = handle_line(&svc, line);
-        assert!(first.response.contains("\"cache\":\"miss\""));
-        let doc = json::parse(&first.response).unwrap();
+        let first = handle_line(&svc, line).into_line();
+        assert!(first.contains("\"cache\":\"miss\""));
+        let doc = json::parse(&first).unwrap();
         assert_eq!(
             doc.get("schedule")
                 .and_then(|s| s.get("format"))
                 .and_then(Value::as_str),
             Some("qpilot.schedule/v1")
         );
-        let second = handle_line(&svc, line);
-        assert!(second.response.contains("\"cache\":\"hit\""));
-        let stats = handle_line(&svc, "{\"op\":\"stats\"}");
-        let sdoc = json::parse(&stats.response).unwrap();
+        let second = handle_line(&svc, line).into_line();
+        assert!(second.contains("\"cache\":\"hit\""));
+        let stats = handle_line(&svc, "{\"op\":\"stats\"}").into_line();
+        let sdoc = json::parse(&stats).unwrap();
         assert_eq!(sdoc.get("hits").and_then(Value::as_u64), Some(1));
         assert_eq!(sdoc.get("compiles").and_then(Value::as_u64), Some(1));
         let bye = handle_line(&svc, "{\"op\":\"shutdown\"}");
@@ -1419,8 +1451,8 @@ mod tests {
         ];
         let mut fingerprints = Vec::new();
         for (line, router) in lines.iter().zip(["generic", "qsim", "qaoa", "qec"]) {
-            let handled = handle_line(&svc, line);
-            let doc = json::parse(&handled.response).unwrap();
+            let handled = handle_line(&svc, line).into_line();
+            let doc = json::parse(&handled).unwrap();
             assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true), "{line}");
             assert_eq!(doc.get("router").and_then(Value::as_str), Some(router));
             assert_eq!(doc.get("cache").and_then(Value::as_str), Some("miss"));
@@ -1448,8 +1480,8 @@ mod tests {
         let svc = service();
         let line =
             r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]]},"schedule":false}"#;
-        let handled = handle_line(&svc, line);
-        let doc = json::parse(&handled.response).unwrap();
+        let handled = handle_line(&svc, line).into_line();
+        let doc = json::parse(&handled).unwrap();
         assert!(doc.get("schedule").is_none());
         assert!(doc.get("fingerprint").is_some());
     }
@@ -1510,7 +1542,7 @@ mod tests {
                 "compile",
             ),
         ] {
-            let doc = json::parse(&handle_line(&svc, line).response).unwrap();
+            let doc = json::parse(&handle_line(&svc, line).into_line()).unwrap();
             assert_eq!(doc.get("op").and_then(Value::as_str), Some(op), "{line}");
             assert_eq!(
                 doc.get("request_id").and_then(Value::as_str),
@@ -1520,13 +1552,13 @@ mod tests {
         }
         // Absent ids get a daemon-assigned `r-<hex>`; errors echo too.
         for line in ["{\"op\":\"ping\"}", "not json", "{\"op\":\"compile\"}"] {
-            let doc = json::parse(&handle_line(&svc, line).response).unwrap();
+            let doc = json::parse(&handle_line(&svc, line).into_line()).unwrap();
             let rid = doc.get("request_id").and_then(Value::as_str).unwrap();
             assert!(rid.starts_with("r-"), "{line} -> {rid}");
         }
         // A client id survives even when the rest of the request fails.
-        let bad = handle_line(&svc, r#"{"op":"compile","request_id":"cli-err"}"#);
-        let doc = json::parse(&bad.response).unwrap();
+        let bad = handle_line(&svc, r#"{"op":"compile","request_id":"cli-err"}"#).into_line();
+        let doc = json::parse(&bad).unwrap();
         assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(
             doc.get("request_id").and_then(Value::as_str),
@@ -1539,21 +1571,42 @@ mod tests {
             "x".repeat(MAX_REQUEST_ID_BYTES + 1)
         );
         assert!(handle_line(&svc, &long)
-            .response
+            .into_line()
             .starts_with("{\"ok\":false"));
         assert!(handle_line(&svc, r#"{"op":"ping","request_id":7}"#)
-            .response
+            .into_line()
             .starts_with("{\"ok\":false"));
+    }
+
+    #[test]
+    fn hit_replies_share_the_cached_schedule_bytes() {
+        let svc = service();
+        let line = r#"{"op":"compile","request_id":"h","circuit":{"num_qubits":3,"gates":[["cz",0,1],["cz",1,2]]}}"#;
+        handle_line(&svc, line);
+        let hit = handle_line(&svc, line);
+        let Ok(Request::Compile { request, .. }) = parse_request(line) else {
+            panic!("compile request");
+        };
+        let response = svc.compile(request).unwrap();
+        // No copy: the reply holds the cache entry's own allocation.
+        let body = hit.schedule.as_ref().expect("schedule body");
+        assert!(Arc::ptr_eq(body, &response.entry.schedule_json));
+        // And the bytes are exactly the rendered line's.
+        let mut written = Vec::new();
+        hit.write_line(&mut written).unwrap();
+        let rendered = render_compile_response(&response, true, "h");
+        assert_eq!(written, format!("{rendered}\n").into_bytes());
+        assert_eq!(hit.into_line(), rendered);
     }
 
     #[test]
     fn compile_replies_carry_the_serving_path() {
         let svc = service();
         let line = r#"{"op":"compile","circuit":{"num_qubits":3,"gates":[["cz",0,1],["cz",1,2]]}}"#;
-        let cold = json::parse(&handle_line(&svc, line).response).unwrap();
+        let cold = json::parse(&handle_line(&svc, line).into_line()).unwrap();
         assert_eq!(cold.get("path").and_then(Value::as_str), Some("miss"));
         assert_eq!(cold.get("cache").and_then(Value::as_str), Some("miss"));
-        let warm = json::parse(&handle_line(&svc, line).response).unwrap();
+        let warm = json::parse(&handle_line(&svc, line).into_line()).unwrap();
         assert_eq!(warm.get("path").and_then(Value::as_str), Some("hit"));
         assert_eq!(warm.get("cache").and_then(Value::as_str), Some("hit"));
     }
@@ -1563,7 +1616,7 @@ mod tests {
         let svc = service();
         let line = r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]]}}"#;
         handle_line(&svc, line);
-        let doc = json::parse(&handle_line(&svc, r#"{"op":"metrics"}"#).response).unwrap();
+        let doc = json::parse(&handle_line(&svc, r#"{"op":"metrics"}"#).into_line()).unwrap();
         assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(
             doc.get("content_type").and_then(Value::as_str),
@@ -1582,7 +1635,7 @@ mod tests {
         let svc = service();
         let line = r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]]}}"#;
         handle_line(&svc, line);
-        let doc = json::parse(&handle_line(&svc, r#"{"op":"stats"}"#).response).unwrap();
+        let doc = json::parse(&handle_line(&svc, r#"{"op":"stats"}"#).into_line()).unwrap();
         assert!(doc.get("p90_compile_ms").and_then(Value::as_f64).is_some());
         let latency = doc.get("latency").expect("latency object");
         // The compile above was a cache miss, so the `miss` path has
@@ -1614,14 +1667,14 @@ mod tests {
     #[test]
     fn stats_expose_resilience_counters() {
         let svc = service();
-        let stats = handle_line(&svc, "{\"op\":\"stats\"}");
-        let doc = json::parse(&stats.response).unwrap();
+        let stats = handle_line(&svc, "{\"op\":\"stats\"}").into_line();
+        let doc = json::parse(&stats).unwrap();
         for key in ["hedged", "leader_timeouts", "shed", "deadline_misses"] {
             assert_eq!(doc.get(key).and_then(Value::as_u64), Some(0), "{key}");
         }
         assert_eq!(doc.get("draining").and_then(Value::as_bool), Some(false));
-        let store = handle_line(&svc, "{\"op\":\"store-stats\"}");
-        let doc = json::parse(&store.response).unwrap();
+        let store = handle_line(&svc, "{\"op\":\"store-stats\"}").into_line();
+        let doc = json::parse(&store).unwrap();
         for key in ["bytes", "size_evictions", "journal_lines", "compactions"] {
             assert_eq!(doc.get(key).and_then(Value::as_u64), Some(0), "{key}");
         }
@@ -1632,14 +1685,14 @@ mod tests {
         let svc = service();
         let line =
             r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]]},"deadline_ms":0}"#;
-        let handled = handle_line(&svc, line);
-        let doc = json::parse(&handled.response).unwrap();
+        let handled = handle_line(&svc, line).into_line();
+        let doc = json::parse(&handled).unwrap();
         assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(doc.get("deadline").and_then(Value::as_bool), Some(true));
         // The daemon stays healthy for the next request.
         let retry = r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]]}}"#;
         assert!(handle_line(&svc, retry)
-            .response
+            .into_line()
             .starts_with("{\"ok\":true"));
     }
 
@@ -1647,7 +1700,7 @@ mod tests {
     fn ping_pongs() {
         let svc = service();
         assert_eq!(
-            handle_line(&svc, r#"{"op":"ping","request_id":"p1"}"#).response,
+            handle_line(&svc, r#"{"op":"ping","request_id":"p1"}"#).into_line(),
             "{\"ok\":true,\"op\":\"pong\",\"request_id\":\"p1\"}"
         );
     }

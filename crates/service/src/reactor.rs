@@ -16,6 +16,10 @@
 //! blocking: a compile miss parks its caller in the coalescing waiter
 //! map until the schedule lands. The reactor thread must never block on
 //! a request, so it only moves bytes; dispatchers absorb the blocking.
+//! A new job wakes the dispatcher that went idle most recently (see
+//! `JobQueue`), and a reply's shared schedule body
+//! ([`Handled::schedule`]) is appended to the write buffer by the reactor
+//! itself, so dispatchers never copy a schedule-sized reply.
 //!
 //! Semantics preserved from the threaded transport, per connection:
 //!
@@ -40,13 +44,13 @@
 //! buffer) until the backlog clears — level-triggered polling makes
 //! resumption free.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,10 +126,8 @@ struct Shared {
 ///
 /// // A toy handler: shout the request back. qpilotd plugs in
 /// // `protocol::handle_line`; qpilot-router plugs in a shard forwarder.
-/// let handler: qpilot_service::reactor::LineHandler = Arc::new(|line: &str| Handled {
-///     response: line.to_uppercase(),
-///     shutdown: false,
-/// });
+/// let handler: qpilot_service::reactor::LineHandler =
+///     Arc::new(|line: &str| Handled::line(line.to_uppercase()));
 /// let server =
 ///     ReactorServer::spawn("127.0.0.1:0", ReactorOptions::default(), handler).unwrap();
 /// let stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -169,20 +171,19 @@ impl ReactorServer {
             waker,
         });
 
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<Completion>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
         let dispatchers = if options.dispatchers == 0 {
             auto_dispatchers()
         } else {
             options.dispatchers
         };
-        for _ in 0..dispatchers {
-            let job_rx = Arc::clone(&job_rx);
+        let jobs = Arc::new(JobQueue::new(dispatchers));
+        for id in 0..dispatchers {
+            let jobs = Arc::clone(&jobs);
             let done_tx = done_tx.clone();
             let handler = Arc::clone(&handler);
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatcher_loop(&job_rx, &done_tx, &handler, &shared));
+            std::thread::spawn(move || dispatcher_loop(id, &jobs, &done_tx, &handler, &shared));
         }
         drop(done_tx);
 
@@ -194,7 +195,7 @@ impl ReactorServer {
                     listener,
                     shared,
                     options,
-                    job_tx,
+                    jobs,
                     done_rx,
                     conns: HashMap::new(),
                     next_token: TOKEN_FIRST_CONN,
@@ -283,19 +284,91 @@ struct Completion {
     handled: Handled,
 }
 
+/// The hand-off from the reactor to its dispatchers: jobs leave in
+/// arrival order, and a new job wakes the dispatcher that parked most
+/// recently. Under light load the same few threads then serve every
+/// request. That matters for memory: each dispatcher allocates from its
+/// own malloc arena and keeps that arena's high-water mark resident, so
+/// rotating requests through the whole pool would hold one request's
+/// worth of freed memory per dispatcher.
+struct JobQueue {
+    state: Mutex<QueueState>,
+    /// One per dispatcher, so a push wakes exactly the one it chose.
+    wakers: Vec<Condvar>,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Parked dispatchers, the most recently parked last.
+    idle: Vec<usize>,
+    /// The reactor has exited: dispatchers finish the queue and stop.
+    closed: bool,
+}
+
+impl JobQueue {
+    fn new(dispatchers: usize) -> JobQueue {
+        JobQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                idle: Vec::with_capacity(dispatchers),
+                closed: false,
+            }),
+            wakers: (0..dispatchers).map(|_| Condvar::new()).collect(),
+        }
+    }
+
+    /// No code panics while holding the lock, so a poisoned state is
+    /// still consistent.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, job: Job) {
+        let mut state = self.lock();
+        state.jobs.push_back(job);
+        if let Some(id) = state.idle.pop() {
+            self.wakers[id].notify_one();
+        }
+    }
+
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        for id in state.idle.drain(..) {
+            self.wakers[id].notify_one();
+        }
+    }
+
+    /// The next job for dispatcher `id`, parking until one arrives;
+    /// `None` once the queue is closed and empty.
+    fn pop(&self, id: usize) -> Option<Job> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state.idle.push(id);
+            state = self.wakers[id]
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            // A push pops the dispatcher it wakes; after a spurious
+            // wakeup this one is still listed and must unlist itself.
+            state.idle.retain(|&parked| parked != id);
+        }
+    }
+}
+
 fn dispatcher_loop(
-    job_rx: &Mutex<Receiver<Job>>,
+    id: usize,
+    jobs: &JobQueue,
     done_tx: &Sender<Completion>,
     handler: &LineHandler,
     shared: &Shared,
 ) {
-    loop {
-        // Hold the lock only for the recv, not for the handler call.
-        let job = match job_rx.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
+    while let Some(job) = jobs.pop(id) {
         let handled = handler(&job.line);
         if done_tx
             .send(Completion {
@@ -389,11 +462,19 @@ struct Reactor {
     listener: TcpListener,
     shared: Arc<Shared>,
     options: ReactorOptions,
-    job_tx: Sender<Job>,
+    jobs: Arc<JobQueue>,
     done_rx: Receiver<Completion>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     drain_swept: bool,
+}
+
+impl Drop for Reactor {
+    /// Runs on every exit, unwinding included, so no dispatcher parks
+    /// forever on a queue nobody feeds.
+    fn drop(&mut self) {
+        self.jobs.close();
+    }
 }
 
 impl Reactor {
@@ -449,7 +530,7 @@ impl Reactor {
         }
         // Reactor exit closes the listener and every remaining
         // connection; dispatchers drain their queue and exit once the
-        // job channel disconnects.
+        // reactor drops (which closes the job queue).
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             self.close(token);
@@ -533,11 +614,11 @@ impl Reactor {
                         let tail = std::mem::take(&mut conn.read_buf);
                         let oversized = std::mem::take(&mut conn.oversized);
                         conn.deadline = None;
-                        finish_line(conn, &tail, oversized, &self.job_tx, token);
+                        finish_line(conn, &tail, oversized, &self.jobs, token);
                     }
                     break;
                 }
-                Ok(n) => ingest(conn, &chunk[..n], &self.job_tx, token),
+                Ok(n) => ingest(conn, &chunk[..n], &self.jobs, token),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -587,9 +668,11 @@ impl Reactor {
             };
             while let Some(handled) = conn.pending.remove(&conn.next_write) {
                 conn.next_write += 1;
-                conn.write_buf
-                    .extend_from_slice(handled.response.as_bytes());
-                conn.write_buf.push(b'\n');
+                // A schedule body is appended straight from the cache
+                // entry's shared bytes.
+                handled
+                    .write_line(&mut conn.write_buf)
+                    .expect("writing to a Vec cannot fail");
                 if handled.shutdown {
                     // Requests pipelined after a shutdown are not
                     // served; the response flushes, then the whole
@@ -614,7 +697,11 @@ impl Reactor {
     /// interest for the rest.
     fn sweep(&mut self, touched: &[u64]) {
         let now = Instant::now();
-        let drain = self.shared.drain.load(Ordering::SeqCst);
+        // Not the live flag: a drain that begins after this iteration's
+        // drain check has not yet read the sockets, and closing a
+        // connection with requests unread in its kernel buffer would
+        // drop them (and reset the connection).
+        let drain = self.drain_swept;
         let mut to_close: Vec<u64> = Vec::new();
         for (&token, conn) in &mut self.conns {
             if conn.dead
@@ -692,7 +779,7 @@ fn flush_writes(conn: &mut Conn) {
 /// Slices a fresh chunk of socket bytes into lines, updating the
 /// partial-line tail, the oversize discard state, and the line
 /// deadline.
-fn ingest(conn: &mut Conn, mut chunk: &[u8], job_tx: &Sender<Job>, token: u64) {
+fn ingest(conn: &mut Conn, mut chunk: &[u8], jobs: &JobQueue, token: u64) {
     while let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
         let (head, rest) = chunk.split_at(pos);
         chunk = &rest[1..]; // past the newline
@@ -709,7 +796,7 @@ fn ingest(conn: &mut Conn, mut chunk: &[u8], job_tx: &Sender<Job>, token: u64) {
         conn.read_buf.clear();
         conn.oversized = false;
         conn.deadline = None; // the newline completes the line
-        finish_line(conn, &line, oversized, job_tx, token);
+        finish_line(conn, &line, oversized, jobs, token);
     }
     if !chunk.is_empty() {
         if conn.oversized {
@@ -731,23 +818,19 @@ fn ingest(conn: &mut Conn, mut chunk: &[u8], job_tx: &Sender<Job>, token: u64) {
 /// Emits the result of one complete line: skip blanks, answer
 /// oversized lines inline (no dispatcher round-trip, but still in
 /// sequence), dispatch the rest.
-fn finish_line(conn: &mut Conn, line: &[u8], oversized: bool, job_tx: &Sender<Job>, token: u64) {
+fn finish_line(conn: &mut Conn, line: &[u8], oversized: bool, jobs: &JobQueue, token: u64) {
     if oversized {
         let seq = conn.next_seq;
         conn.next_seq += 1;
         conn.pending.insert(
             seq,
-            Handled {
-                // The line never parsed, so no client id exists to
-                // echo; a daemon-assigned one keeps the reply
-                // correlatable.
-                response: render_error(
-                    &format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    false,
-                    &next_request_id(),
-                ),
-                shutdown: false,
-            },
+            // The line never parsed, so no client id exists to echo; a
+            // daemon-assigned one keeps the reply correlatable.
+            Handled::line(render_error(
+                &format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
+                false,
+                &next_request_id(),
+            )),
         );
         return;
     }
@@ -758,7 +841,7 @@ fn finish_line(conn: &mut Conn, line: &[u8], oversized: bool, job_tx: &Sender<Jo
     let seq = conn.next_seq;
     conn.next_seq += 1;
     conn.inflight += 1;
-    let _ = job_tx.send(Job {
+    jobs.push(Job {
         token,
         seq,
         line: text.into_owned(),
@@ -784,10 +867,7 @@ mod tests {
         let handler: LineHandler = Arc::new(|line: &str| {
             let ms = if line == "fast" { 30 } else { 400 };
             std::thread::sleep(Duration::from_millis(ms));
-            Handled {
-                response: format!("done {line}"),
-                shutdown: false,
-            }
+            Handled::line(format!("done {line}"))
         });
         let server =
             ReactorServer::spawn("127.0.0.1:0", ReactorOptions::default(), handler).unwrap();

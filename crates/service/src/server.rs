@@ -136,8 +136,7 @@ fn serve_loop(
                     continue; // blank keep-alive lines are not requests
                 }
                 let handled = handle_line(service, &line);
-                output.write_all(handled.response.as_bytes())?;
-                output.write_all(b"\n")?;
+                handled.write_line(&mut output)?;
                 output.flush()?;
                 handled_count += 1;
                 if handled.shutdown {
